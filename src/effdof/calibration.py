@@ -10,10 +10,11 @@ then smooths the sampled (C, X2) curve with a cross-validated polynomial and
 reports the constant minimizing the fitted polynomial.
 
 All constants are evaluated on the same component draws (common random
-numbers): within a cell the shrink term is deterministic, so the mean for
-any C is the cell's mean unshrunk ratio divided by ``1 + C / (K * nu)``.
-This makes the sampled curve smooth in C, which is what the polynomial
-smoother relies on.
+numbers): each cell runs once, through the cell path that also builds the
+simulation tables, for the c = 0 variant on a fixed substream tag. Within a
+cell the shrink term is deterministic, so the mean for any C is that mean
+divided by ``1 + C / (K * nu)``. This makes the sampled curve smooth in C,
+which is what the polynomial smoother relies on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .estimators import EstimatorVariant
-from .simulation import DEFAULT_REPLICATES, DEFAULT_SEED, SimulationGrid, simulate_mean_df, substream
+from .simulation import DEFAULT_REPLICATES, DEFAULT_SEED, SimulationGrid, _cell_stats
 
 __all__ = [
     "CalibrationCurve",
@@ -105,28 +106,14 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid, seed: int | None = None,
     use_seed = grid.seed if seed is None else int(seed)
     # Mean of the denominator-only variant (c = 0); the per-C mean is this
     # value divided by the deterministic shrink term of the cell.
-    base_variant = EstimatorVariant.adjusted(0.0, 0)
-
-    def one_cell(pair: tuple[int, int]) -> float:
-        k, nu = pair
-        rng = substream(use_seed, k, nu, _CRN_TAG)
-        return simulate_mean_df(k, nu, base_variant, grid.replicates, rng).mean
-
-    pairs = grid.cells()
-    if max_workers and int(max_workers) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=int(max_workers)) as pool:
-            base_means = list(pool.map(one_cell, pairs))
-    else:
-        base_means = [one_cell(pair) for pair in pairs]
+    base = _cell_stats(grid, EstimatorVariant.adjusted(0.0, 0), _CRN_TAG, use_seed, max_workers)
 
     points = []
     for c in cs:
         x2 = 0.0
-        for (k, nu), base in zip(pairs, base_means):
+        for (k, nu), cell in zip(grid.cells(), base):
             reference = float(k * nu)
-            mean_c = base / (1.0 + c / (k * float(nu)))
+            mean_c = cell.mean / (1.0 + c / (k * float(nu)))
             x2 += (mean_c - reference) ** 2 / reference
         points.append((c, x2))
     return points

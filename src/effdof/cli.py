@@ -186,21 +186,25 @@ def _json_rows(path: str) -> list[tuple[int, tuple[float, float, int]]]:
 # ---------------------------------------------------------------------------
 
 
-def _emit_pairs(pairs: list[tuple[str, float]], fmt: str) -> None:
-    """A two-column method/estimate listing in the requested encoding."""
+def _emit_methods(rows: list[tuple], fmt: str, columns=("method", "value"),
+                  headers=("method", "estimate"), digits: int = 4) -> None:
+    """A per-method listing, one row of values per method, in the requested encoding.
+
+    ``columns`` name the CSV and JSON fields and ``headers`` the markdown
+    columns, whose values are rounded to ``digits`` decimals.
+    """
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(["method", "value"])
-        for label, value in pairs:
-            writer.writerow([label, _full(value)])
+        writer.writerow(columns)
+        for label, *values in rows:
+            writer.writerow([label] + [_full(v) for v in values])
     elif fmt == "json":
-        print(json.dumps([{"method": label, "value": value} for label, value in pairs],
-                         indent=2))
+        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
     else:
-        print("| method | estimate |")
-        print("| --- | --- |")
-        for label, value in pairs:
-            print(f"| {label} | {value:.4f} |")
+        print("| " + " | ".join(headers) + " |")
+        print("| --- |" + " --- |" * (len(headers) - 1))
+        for label, *values in rows:
+            print(f"| {label} | " + " | ".join(f"{v:.{digits}f}" for v in values) + " |")
 
 
 def _emit_components_markdown(components: list[VarianceComponent]) -> None:
@@ -219,14 +223,11 @@ def _emit_apply(label: str, value: float, components: list[VarianceComponent],
             "components": [{"weight": c.weight, "s2": c.s2, "df": c.df}
                            for c in components],
         }, indent=2))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["method", "value"])
-        writer.writerow([label, _full(value)])
-    else:
+        return
+    if fmt == "markdown":
         _emit_components_markdown(components)
         print()
-        _emit_pairs([(label, value)], "markdown")
+    _emit_methods([(label, value)], fmt)
 
 
 def _grid_cells_payload(table, published: dict | None) -> list[dict]:
@@ -301,7 +302,7 @@ def _cmd_estimate(args) -> int:
         print("note: vd2025 skipped (needs at least two components)", file=sys.stderr)
     if args.method in ("adjusted", "all"):
         pairs.append((adjusted_label, adjusted_df(components, config).value))
-    _emit_pairs(pairs, args.format)
+    _emit_methods(pairs, args.format)
     return EXIT_OK
 
 
@@ -309,30 +310,12 @@ def _cmd_reproduce(args) -> int:
     grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
                           replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
-        rows = []
-        for variant, reference in zip(_X2_METHODS, REFERENCE_X2):
-            table = generate_table(grid, variant, max_workers=args.threads)
-            rows.append((reference[0], pseudo_x2(table), reference[3]))
-        if args.format == "csv":
-            writer = csv.writer(sys.stdout)
-            writer.writerow(["method", "x2"] + (["published"] if args.diff else []))
-            for label, x2, pub in rows:
-                writer.writerow([label, _full(x2)] + ([_full(pub)] if args.diff else []))
-        elif args.format == "json":
-            payload = [{"method": label, "x2": x2} for label, x2, _ in rows]
-            if args.diff:
-                for entry, (_, _, pub) in zip(payload, rows):
-                    entry["published"] = pub
-            print(json.dumps(payload, indent=2))
-        else:
-            header = "| method | x2 |" + (" published |" if args.diff else "")
-            print(header)
-            print("| --- | --- |" + (" --- |" if args.diff else ""))
-            for label, x2, pub in rows:
-                line = f"| {label} | {x2:.5f} |"
-                if args.diff:
-                    line += f" {pub:.5f} |"
-                print(line)
+        # The published summary comes from another, unidentified grid.
+        n = 3 if args.diff else 2
+        rows = [(reference[0], pseudo_x2(generate_table(grid, variant, max_workers=args.threads)),
+                 reference[3])[:n] for variant, reference in zip(_X2_METHODS, REFERENCE_X2)]
+        _emit_methods(rows, args.format, ("method", "x2", "published")[:n],
+                      ("method", "x2", "published (other grid)")[:n], digits=5)
         return EXIT_OK
 
     method = _TABLE_METHODS[args.table]
@@ -457,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
     p_rep.add_argument("--threads", type=int, default=1)
     p_rep.add_argument("--diff", action="store_true",
-                       help="also print the published values and per-cell z-scores")
+                       help="also print the published values and per-cell z-scores; "
+                            "for x2 the published summary comes from another, "
+                            "unidentified grid")
     _add_format(p_rep)
     p_rep.set_defaults(handler=_cmd_reproduce)
 

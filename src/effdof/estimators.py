@@ -15,9 +15,11 @@ variant agrees with the classic estimator in the large-sample limit.
 
 Every estimator is invariant under rescaling all weights by a common
 positive constant, and under rescaling all component variances by a common
-positive constant. The implementation exploits the latter: variances are
-normalized by the largest one before the fourth powers are formed, which
-makes overflow practically impossible.
+positive constant. The implementation exploits both: each term ``w_k S_k^2``
+is divided by the largest one before the squares are formed, and a term
+outside the normal double range is rebuilt from binary mantissas and
+exponents, so no intermediate overflows or underflows at any representable
+scale.
 
 All functions are pure and safe to call from any number of threads.
 """
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -152,16 +155,29 @@ def _as_components(components) -> tuple[VarianceComponent, ...]:
     return comps
 
 
-def _ratio_terms(comps: tuple[VarianceComponent, ...], plus_two: bool) -> tuple[float, float]:
-    # Normalizing by the largest s2 leaves the ratio invariant and keeps the
-    # fourth powers well inside double range.
-    scale = max(c.s2 for c in comps)
-    if scale == 0.0:
-        raise DegenerateSynthesisError("degenerate synthesis: all component variances are zero")
+def _ratio(comps: tuple[VarianceComponent, ...], plus_two: bool) -> float:
+    # The ratio is invariant under a common factor on the terms w * s2, so
+    # they are taken relative to the largest one before any square is formed.
+    terms = [c.weight * c.s2 for c in comps]
+    top = max(terms)
+    if sys.float_info.min <= top < math.inf:
+        terms = [t / top for t in terms]
+    else:
+        # A product left the normal double range: rebuild every term from
+        # binary mantissas, whose products lie in [0.25, 1), and integer
+        # exponents, so that nothing overflows or underflows on the way.
+        parts = [(math.frexp(c.weight), math.frexp(c.s2)) for c in comps]
+        parts = [(mw * ms, ew + es) for (mw, ew), (ms, es) in parts]
+        top = max((e for m, e in parts if m), default=None)
+        if top is None:
+            raise DegenerateSynthesisError("degenerate synthesis: all component variances are zero")
+        terms = [math.ldexp(m, e - top) for m, e in parts]
     offset = 2 if plus_two else 0
-    num = sum(c.weight * (c.s2 / scale) for c in comps) ** 2
-    den = sum((c.weight * (c.s2 / scale)) ** 2 / (c.df + offset) for c in comps)
-    return num, den
+    den = sum(t * t / (c.df + offset) for t, c in zip(terms, comps))
+    value = sum(terms) ** 2 / den
+    if not math.isfinite(value):
+        raise SynthesisError("effective d.f. is not finite for these components")
+    return value
 
 
 def weighted_mean_df(components) -> float:
@@ -170,8 +186,10 @@ def weighted_mean_df(components) -> float:
     Equals the plain arithmetic mean of the d.f. when all weights are equal.
     """
     comps = _as_components(components)
-    wsum = sum(c.weight for c in comps)
-    return sum(c.weight * c.df for c in comps) / wsum
+    # Weights relative to the largest one keep both sums finite at any scale.
+    top = max(c.weight for c in comps)
+    wsum = sum(c.weight / top for c in comps)
+    return sum(c.weight / top * c.df for c in comps) / wsum
 
 
 def satterthwaite_df(components) -> DfEstimate:
@@ -182,8 +200,7 @@ def satterthwaite_df(components) -> DfEstimate:
     The value never exceeds ``sum_k nu_k`` (Cauchy-Schwarz).
     """
     comps = _as_components(components)
-    num, den = _ratio_terms(comps, plus_two=False)
-    return DfEstimate(num / den, SATTERTHWAITE)
+    return DfEstimate(_ratio(comps, plus_two=False), SATTERTHWAITE)
 
 
 def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
@@ -202,11 +219,11 @@ def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     k = len(comps)
     if config.p == 1 and k < 2:
         raise SynthesisError("offset exceeds component count")
-    num, den = _ratio_terms(comps, plus_two=True)
+    ratio = _ratio(comps, plus_two=True)
     nu_bar = weighted_mean_df(comps)
     c_eff = config.c if config.p == 0 else config.c * k / (k - 1.0)
     shrink = 1.0 + c_eff / (k * nu_bar)
-    return DfEstimate((num / den) / shrink, ADJUSTED, config)
+    return DfEstimate(ratio / shrink, ADJUSTED, config)
 
 
 def vondavier2025_df(components) -> DfEstimate:

@@ -7,15 +7,22 @@ mean together with its standard error. The reference value for a cell is
 ``K * nu``, the effective d.f. of the synthesis when the population variances
 are known.
 
-Chi-square variates are formed exactly as sums of squared independent
-standard normal deviates, not via a gamma sampler, so that the single-d.f.
-tail behavior is the one the estimators are exposed to in the small-d.f.
-regime this study targets.
+When every component has the same d.f. nu, every estimator of the family is
+Satterthwaite's ratio ``(sum s)^2 / sum s^2`` times a constant of (K, nu):
+the ``nu_k + 2`` denominator and the correction term depend on the d.f. alone,
+and the weighted mean d.f. is nu whatever the weights. A cell therefore
+keeps only that ratio per replicate and scales its mean and standard error
+by the factor the estimator itself returns for K identical components.
+
+Chi-square variates are formed as sums of squared independent standard
+normal deviates. ``Generator.chisquare`` draws from the same law; this
+construction is kept so that the streams, and with them every table for a
+given seed, stay reproducible.
 
 Every cell derives its own random substream deterministically from
-``(seed, K, nu, method tag)``. Tables are therefore bit-reproducible for a
-fixed seed no matter the evaluation order or the number of worker threads,
-and streams are never shared across cells.
+``(seed, K, nu, tag)``. Tables are therefore bit-reproducible for a fixed
+seed no matter the evaluation order or the number of worker threads, and
+streams are never shared across cells.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import SATTERTHWAITE, EstimatorVariant, SynthesisError
+from .estimators import EstimatorVariant, VarianceComponent
 
 __all__ = [
     "DEFAULT_REPLICATES",
@@ -124,23 +131,6 @@ def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int) -> np.
     return np.einsum("rkn,rkn->rk", z, z)
 
 
-def _evaluate_rows(s2: np.ndarray, nu: int, method: EstimatorVariant,
-                   weights: np.ndarray | None) -> np.ndarray:
-    """Vectorized estimator values, one per row of component draws."""
-    if weights is not None:
-        s2 = s2 * weights
-    num = s2.sum(axis=1) ** 2
-    sq = np.square(s2)
-    if method.method == SATTERTHWAITE:
-        return num / (sq.sum(axis=1) / nu)
-    k = s2.shape[1]
-    cfg = method.config
-    # All components share df = nu, so the weighted mean d.f. is nu exactly.
-    c_eff = cfg.c if cfg.p == 0 else cfg.c * k / (k - 1.0)
-    shrink = 1.0 + c_eff / (k * float(nu))
-    return (num / (sq.sum(axis=1) / (nu + 2.0))) / shrink
-
-
 def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
                      rng: np.random.Generator, weights=None) -> CellStat:
     """Sample mean and standard error of one estimator at a (K, nu) cell.
@@ -158,8 +148,6 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
         raise ValueError(f"nu must be >= 1, got {nu}")
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    if method.config is not None and method.config.p == 1 and k < 2:
-        raise SynthesisError("offset exceeds component count")
     w = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
@@ -171,39 +159,45 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
         expected = float(k * nu)
     else:
         expected = float(nu * w.sum() ** 2 / np.square(w).sum())
+    # The estimator on K identical components is K times the factor that
+    # turns Satterthwaite's ratio into its value (see the module docstring).
+    factor = method.evaluate([VarianceComponent(1.0, 1.0, nu)] * k).value / k
 
-    values = np.empty(replicates)
+    ratios = np.empty(replicates)
     chunk = max(1, _CHUNK_SCALARS // (k * nu))
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        s2 = sample_chi2_matrix(rng, m, k, nu)
-        values[done:done + m] = _evaluate_rows(s2, nu, method, w)
-        done += m
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(replicates))
+    for done in range(0, replicates, chunk):
+        s = sample_chi2_matrix(rng, min(chunk, replicates - done), k, nu)
+        if w is not None:
+            s *= w
+        ratios[done:done + len(s)] = s.sum(axis=1) ** 2 / np.square(s).sum(axis=1)
+    mean = float(ratios.mean()) * factor
+    std_error = float(ratios.std(ddof=1) / math.sqrt(replicates)) * factor
     return CellStat(mean, std_error, expected)
+
+
+def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
+    """The clipped two-component single-d.f. ratio, one chunk of draws at a time."""
+    chunk = max(1, _CHUNK_SCALARS // 2)
+    for done in range(0, replicates, chunk):
+        s = np.square(rng.standard_normal((min(chunk, replicates - done), 2)))
+        ratio = (s[:, 0] + s[:, 1]) ** 2 / (s[:, 0] ** 2 + s[:, 1] ** 2)
+        yield np.clip(ratio, 1.0, 2.0, out=ratio)
 
 
 def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Raw draws of the two-component single-d.f. ratio (Z1^2+Z2^2)^2 / (Z1^4+Z2^4).
 
-    The ratio lies in [1, 2] for every pair of reals; the clip below only
-    removes floating-point excursions at the equal-components boundary.
+    The ratio lies in [1, 2] for every pair of reals; the clip only removes
+    floating-point excursions at the equal-components boundary.
     """
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     out = np.empty(replicates)
-    chunk = max(1, _CHUNK_SCALARS // 2)
     done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        s = np.square(rng.standard_normal((m, 2)))
-        num = (s[:, 0] + s[:, 1]) ** 2
-        den = s[:, 0] ** 2 + s[:, 1] ** 2
-        np.clip(num / den, 1.0, 2.0, out=out[done:done + m])
-        done += m
+    for part in _ratio_chunks_k2_nu1(replicates, rng):
+        out[done:done + len(part)] = part
+        done += len(part)
     return out
 
 
@@ -211,11 +205,31 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     """Monte Carlo mean of the two-component single-d.f. ratio.
 
     Converges to sqrt(2): in polar coordinates the radius cancels and the
-    angular average of the ratio is exactly 2^(1/2).
+    angular average of the ratio is exactly 2^(1/2). The draws are summed
+    chunk by chunk, so memory does not grow with ``replicates``.
     """
-    if int(replicates) < 2:
+    replicates = int(replicates)
+    if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    return float(ratio_samples_k2_nu1(replicates, rng).mean())
+    return sum(float(part.sum()) for part in _ratio_chunks_k2_nu1(replicates, rng)) / replicates
+
+
+def _cell_stats(grid: SimulationGrid, method: EstimatorVariant, tag: str, seed: int,
+                max_workers: int) -> list[CellStat]:
+    """``simulate_mean_df`` on every cell of ``grid``, each on its own substream.
+
+    The one place cells are scheduled: serially, or in a thread pool when
+    ``max_workers > 1``. Results follow ``grid.cells()`` order either way.
+    """
+    def one_cell(pair: tuple[int, int]) -> CellStat:
+        k, nu = pair
+        return simulate_mean_df(k, nu, method, grid.replicates, substream(seed, k, nu, tag))
+
+    pairs = grid.cells()
+    if max_workers and int(max_workers) > 1:
+        with ThreadPoolExecutor(max_workers=int(max_workers)) as pool:
+            return list(pool.map(one_cell, pairs))
+    return [one_cell(pair) for pair in pairs]
 
 
 def generate_table(grid: SimulationGrid, method: EstimatorVariant,
@@ -226,19 +240,8 @@ def generate_table(grid: SimulationGrid, method: EstimatorVariant,
     evaluated in a thread pool. Each cell draws from its own substream, so
     the result does not depend on scheduling or worker count.
     """
-    pairs = grid.cells()
-
-    def one_cell(pair: tuple[int, int]) -> CellStat:
-        k, nu = pair
-        rng = substream(grid.seed, k, nu, method.tag)
-        return simulate_mean_df(k, nu, method, grid.replicates, rng)
-
-    if max_workers and int(max_workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(max_workers)) as pool:
-            stats = list(pool.map(one_cell, pairs))
-    else:
-        stats = [one_cell(pair) for pair in pairs]
-    return MeanDfTable(grid, method, dict(zip(pairs, stats)))
+    stats = _cell_stats(grid, method, method.tag, grid.seed, max_workers)
+    return MeanDfTable(grid, method, dict(zip(grid.cells(), stats)))
 
 
 def pseudo_x2(table: MeanDfTable) -> float:

@@ -111,6 +111,18 @@ class TestEstimateCommand:
         assert main(["estimate", path]) == 3
         assert "degenerate" in capsys.readouterr().err
 
+    def test_huge_weights_match_unit_scale(self, tmp_path, capsys):
+        # Weights near 1e200 overflow when w * s2 is squared directly.
+        assert main(["estimate", write_csv(tmp_path / "big.csv", ["1e200,4.0,10", "1.2e200,1.0,4"]),
+                     "--format", "csv"]) == 0
+        big = parse_csv(capsys.readouterr().out)
+        assert main(["estimate", write_csv(tmp_path / "unit.csv", ["1,4.0,10", "1.2,1.0,4"]),
+                     "--format", "csv"]) == 0
+        unit = parse_csv(capsys.readouterr().out)
+        assert [r["method"] for r in big] == [r["method"] for r in unit]
+        for b, u in zip(big, unit):
+            assert float(b["value"]) == pytest.approx(float(u["value"]), rel=1e-12)
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "does-not-exist.csv"]) == 2
 
@@ -228,6 +240,13 @@ class TestReproduceCommand:
             "satterthwaite", "vd2025", "adjusted(c=2.25, p=0)", "adjusted(c=2.69, p=0)"]
         assert float(rows[0]["published"]) == 13.27251
         assert all(float(r["x2"]) >= 0.0 for r in rows)
+
+    def test_x2_markdown_labels_published_grid(self, capsys):
+        assert main(["reproduce", "--table", "x2", "--replicates", "400",
+                     "--seed", "4", "--diff"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "| method | x2 | published (other grid) |"
+        assert lines[2].endswith("| 13.27251 |")
 
     def test_thread_flag_reproducible(self, capsys):
         args = ["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",

@@ -284,6 +284,32 @@ class TestInvariants:
             value = satterthwaite_df(comps(*[(w, s2, nu)] * k)).value
             assert value == pytest.approx(k * nu, rel=1e-12)
 
+    @pytest.mark.parametrize("exponent", [-300, -200, -100, 100, 200, 300])
+    @pytest.mark.parametrize("target", ["weight", "s2"])
+    def test_rescaling_invariance_at_extreme_scales(self, target, exponent):
+        # A common factor far beyond the range where w * s2 can be squared
+        # changes no estimate and no weighted mean d.f.
+        rng = np.random.default_rng(707)
+        factor = 10.0 ** exponent
+        for _ in range(50):
+            components = make_components(rng, allow_zero_s2=True)
+            if target == "weight":
+                scaled = [VarianceComponent(c.weight * factor, c.s2, c.df) for c in components]
+            else:
+                scaled = [VarianceComponent(c.weight, c.s2 * factor, c.df) for c in components]
+            for base, other in zip(_all_variant_values(components), _all_variant_values(scaled)):
+                assert other == pytest.approx(base, rel=1e-12)
+            assert weighted_mean_df(scaled) == pytest.approx(weighted_mean_df(components),
+                                                             rel=1e-12)
+
+    def test_term_products_beyond_double_range(self):
+        # Here w * s2 itself overflows, or underflows, a double.
+        base = comps((1, 1.0, 3), (2, 0.5, 7))
+        for w, s2 in ((1e300, 1e10), (1e-300, 1e-10)):
+            scaled = comps((w, s2, 3), (2 * w, 0.5 * s2, 7))
+            for ref, value in zip(_all_variant_values(base), _all_variant_values(scaled)):
+                assert value == pytest.approx(ref, rel=1e-12)
+
     def test_extreme_magnitudes_do_not_overflow(self):
         # The internal normalization keeps fourth powers in range even when
         # raw s2**2 would overflow a double.

@@ -102,21 +102,31 @@ class TestRatioSampling:
 
 class TestSimulateMeanDf:
     def test_matches_scalar_estimators_on_same_draws(self):
-        """The vectorized cell evaluation is the scalar estimator per row."""
+        """The vectorized cell evaluation is the scalar estimator per row.
+
+        The cell scales Satterthwaite's ratio by a factor of (K, nu) alone;
+        the weighted runs check that this holds for non-unit weights too.
+        """
         k, nu, reps = 3, 2, 400
-        for variant in (EstimatorVariant.satterthwaite(),
-                        EstimatorVariant.recommended(),
-                        EstimatorVariant.von_davier_2025()):
-            cell = simulate_mean_df(k, nu, variant, reps,
-                                    substream(5, k, nu, variant.tag))
-            draws = sample_chi2_matrix(substream(5, k, nu, variant.tag), reps, k, nu)
-            values = []
-            for row in draws:
-                components = [VarianceComponent(1.0, float(s2), nu) for s2 in row]
-                values.append(variant.evaluate(components).value)
-            assert cell.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
-            assert cell.std_error == pytest.approx(
-                float(np.std(values, ddof=1)) / math.sqrt(reps), rel=1e-10)
+        variants = (EstimatorVariant.satterthwaite(),
+                    EstimatorVariant.recommended(),
+                    EstimatorVariant.von_davier_2025(),
+                    EstimatorVariant.adjusted(0.0, 0),
+                    EstimatorVariant.adjusted(2.69, 0))
+        for weights in (None, np.array([0.5, 1.0, 2.5])):
+            unit = np.ones(k) if weights is None else weights
+            for variant in variants:
+                cell = simulate_mean_df(k, nu, variant, reps,
+                                        substream(5, k, nu, variant.tag), weights=weights)
+                draws = sample_chi2_matrix(substream(5, k, nu, variant.tag), reps, k, nu)
+                values = []
+                for row in draws:
+                    components = [VarianceComponent(float(w), float(s2), nu)
+                                  for w, s2 in zip(unit, row)]
+                    values.append(variant.evaluate(components).value)
+                assert cell.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+                assert cell.std_error == pytest.approx(
+                    float(np.std(values, ddof=1)) / math.sqrt(reps), rel=1e-10)
 
     def test_expected_value_field(self):
         cell = simulate_mean_df(4, 3, EstimatorVariant.satterthwaite(), 10,
