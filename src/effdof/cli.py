@@ -15,8 +15,11 @@ JSON carry full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,30 +29,17 @@ from .applications import (
     RubinVariance,
     WelchInput,
     jackknife_components,
-    jackknife_df,
     rubin_components,
-    rubin_df,
     welch_components,
-    welch_df,
 )
 from .calibration import (
-    DEFAULT_C_INTERVAL,
     CalibrationError,
     curve_rows,
     default_c_grid,
     run_calibration,
     study_summary,
 )
-from .estimators import (
-    RECOMMENDED_C,
-    AdjustmentConfig,
-    EstimatorVariant,
-    SynthesisError,
-    VarianceComponent,
-    adjusted_df,
-    satterthwaite_df,
-    vondavier2025_df,
-)
+from .estimators import RECOMMENDED_C, EstimatorVariant, SynthesisError, VarianceComponent
 from .reference import (
     REFERENCE_K_VALUES,
     REFERENCE_NU_VALUES,
@@ -79,20 +69,9 @@ _TABLE_METHODS = {
     "4": EstimatorVariant.adjusted(2.69, 0),
 }
 
-_X2_METHODS = (
-    EstimatorVariant.satterthwaite(),
-    EstimatorVariant.von_davier_2025(),
-    EstimatorVariant.adjusted(2.25, 0),
-    EstimatorVariant.adjusted(2.69, 0),
-)
 
-
-class ComponentFileError(ValueError):
-    """A component file could not be parsed or violates an invariant."""
-
-
-def _full(x: float) -> str:
-    return repr(float(x))
+class InputError(ValueError):
+    """A component file or a combination of arguments is invalid."""
 
 
 def read_components(path: str) -> list[VarianceComponent]:
@@ -102,186 +81,97 @@ def read_components(path: str) -> list[VarianceComponent]:
     negative weights and other invariant violations are reported with their
     row number. An empty file is an error.
     """
-    if path.endswith(".json"):
-        rows = _json_rows(path)
-    else:
-        rows = _csv_rows(path)
+    rows = _json_rows(path) if path.endswith(".json") else _csv_rows(path)
     components = []
-    for row_number, raw in rows:
-        weight, s2, df = raw
-        if weight == 0.0:
+    for row_number, record in rows:
+        weight, s2, df = record["weight"], record["s2"], record["df"]
+        if isinstance(df, str):
+            with contextlib.suppress(ValueError):  # VarianceComponent names the bad value
+                df = int(df)
+        if _zero_weight(weight, s2, df):
             continue
         try:
             components.append(VarianceComponent(weight, s2, df))
         except SynthesisError as exc:
-            raise ComponentFileError(f"row {row_number}: {exc}") from None
+            raise InputError(f"row {row_number}: {exc}") from None
     if not components:
-        raise ComponentFileError("no components")
+        raise InputError("no components")
     return components
 
 
-def _parse_df(value, row_number: int) -> int:
-    if isinstance(value, bool):
-        raise ComponentFileError(f"row {row_number}: df must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value.strip())
-        except ValueError:
-            raise ComponentFileError(
-                f"row {row_number}: df must be an integer, got {value!r}") from None
-    raise ComponentFileError(f"row {row_number}: df must be an integer, got {value!r}")
-
-
-def _parse_real(value, name: str, row_number: int) -> float:
+def _zero_weight(weight, s2, df) -> bool:
+    """Whether a row is dropped: weight 0, a numeric s2 and an integer df, of any range."""
     try:
-        return float(value)
+        float(s2)
+        return float(weight) == 0.0 and type(df) is int
     except (TypeError, ValueError):
-        raise ComponentFileError(
-            f"row {row_number}: {name} must be a number, got {value!r}") from None
+        return False
 
 
-def _csv_rows(path: str) -> list[tuple[int, tuple[float, float, int]]]:
+def _csv_rows(path: str):
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
-            raise ComponentFileError("no components")
+            raise InputError("no components")
         header = [name.strip() for name in reader.fieldnames]
         if sorted(header) != ["df", "s2", "weight"]:
-            raise ComponentFileError(
+            raise InputError(
                 f"header must be exactly weight,s2,df (any order), got {','.join(header)}")
-        out = []
         for i, record in enumerate(reader, start=2):
             record = {k.strip(): (v.strip() if isinstance(v, str) else v)
                       for k, v in record.items() if k is not None}
             if any(v is None for v in record.values()):
-                raise ComponentFileError(f"row {i}: expected 3 fields")
-            out.append((i, (_parse_real(record["weight"], "weight", i),
-                            _parse_real(record["s2"], "s2", i),
-                            _parse_df(record["df"], i))))
-    return out
+                raise InputError(f"row {i}: expected 3 fields")
+            yield i, record
 
 
-def _json_rows(path: str) -> list[tuple[int, tuple[float, float, int]]]:
+def _json_rows(path: str):
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ComponentFileError(f"invalid JSON: {exc}") from None
+        except ValueError as exc:  # also integers beyond the digit limit
+            raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(data, list):
-        raise ComponentFileError("JSON input must be an array of objects")
-    out = []
+        raise InputError("JSON input must be an array of objects")
     for i, item in enumerate(data, start=1):
         if not isinstance(item, dict) or not {"weight", "s2", "df"} <= set(item):
-            raise ComponentFileError(f"row {i}: expected an object with weight, s2, df")
-        out.append((i, (_parse_real(item["weight"], "weight", i),
-                        _parse_real(item["s2"], "s2", i),
-                        _parse_df(item["df"], i))))
-    return out
+            raise InputError(f"row {i}: expected an object with weight, s2, df")
+        yield i, item
 
 
 # ---------------------------------------------------------------------------
-# Output helpers
+# Output
 # ---------------------------------------------------------------------------
 
 
-def _emit_methods(rows: list[tuple], fmt: str, columns=("method", "value"),
-                  headers=("method", "estimate"), digits: int = 4) -> None:
-    """A per-method listing, one row of values per method, in the requested encoding.
+def _emit(fmt: str, records: list[dict], markdown: list[str], payload=None) -> None:
+    """Write ``records`` in the requested encoding.
 
-    ``columns`` name the CSV and JSON fields and ``headers`` the markdown
-    columns, whose values are rounded to ``digits`` decimals.
+    CSV takes its header from the first record's keys and writes floats at
+    full precision; JSON writes ``payload``, or the records when there is
+    none; markdown prints the given lines.
     """
     if fmt == "csv":
         writer = csv.writer(sys.stdout)
-        writer.writerow(columns)
-        for label, *values in rows:
-            writer.writerow([label] + [_full(v) for v in values])
+        writer.writerow(records[0])
+        writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in r.values()]
+                         for r in records)
     elif fmt == "json":
-        print(json.dumps([dict(zip(columns, row)) for row in rows], indent=2))
+        print(json.dumps(records if payload is None else payload, indent=2))
     else:
-        print("| " + " | ".join(headers) + " |")
-        print("| --- |" + " --- |" * (len(headers) - 1))
-        for label, *values in rows:
-            print(f"| {label} | " + " | ".join(f"{v:.{digits}f}" for v in values) + " |")
+        for line in markdown:
+            print(line)
 
 
-def _emit_components_markdown(components: list[VarianceComponent]) -> None:
-    print("| weight | s2 | df |")
-    print("| --- | --- | --- |")
-    for comp in components:
-        print(f"| {comp.weight:g} | {comp.s2:g} | {comp.df} |")
+def _markdown_table(headers, rows) -> list[str]:
+    lines = ["| " + " | ".join(headers) + " |", "| --- |" + " --- |" * (len(headers) - 1)]
+    return lines + ["| " + " | ".join(row) + " |" for row in rows]
 
 
-def _emit_apply(label: str, value: float, components: list[VarianceComponent],
-                fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps({
-            "method": label,
-            "value": value,
-            "components": [{"weight": c.weight, "s2": c.s2, "df": c.df}
-                           for c in components],
-        }, indent=2))
-        return
-    if fmt == "markdown":
-        _emit_components_markdown(components)
-        print()
-    _emit_methods([(label, value)], fmt)
-
-
-def _grid_cells_payload(table, published: dict | None) -> list[dict]:
-    cells = []
-    for (k, nu), cell in table.cells.items():
-        entry = {"k": k, "nu": nu, "mean": cell.mean,
-                 "std_error": cell.std_error, "expected": cell.expected}
-        if published is not None:
-            pub = published[(k, nu)]
-            entry["published"] = pub
-            entry["z"] = (cell.mean - pub) / cell.std_error
-        cells.append(entry)
-    return cells
-
-
-def _emit_grid_table(table, label: str, fmt: str, published: dict | None) -> None:
-    nus = table.grid.nu_values
-    if fmt == "csv":
-        writer = csv.writer(sys.stdout)
-        header = ["k", "nu", "mean", "std_error", "expected"]
-        if published is not None:
-            header += ["published", "z"]
-        writer.writerow(header)
-        for entry in _grid_cells_payload(table, published):
-            row = [entry["k"], entry["nu"], _full(entry["mean"]),
-                   _full(entry["std_error"]), _full(entry["expected"])]
-            if published is not None:
-                row += [_full(entry["published"]), _full(entry["z"])]
-            writer.writerow(row)
-    elif fmt == "json":
-        print(json.dumps({
-            "method": label,
-            "seed": table.grid.seed,
-            "replicates": table.grid.replicates,
-            "cells": _grid_cells_payload(table, published),
-        }, indent=2))
-    else:
-        def grid_block(title: str, value):
-            print(title)
-            print("| K\\nu | " + " | ".join(str(nu) for nu in nus) + " |")
-            print("| --- |" + " --- |" * len(nus))
-            for k in table.grid.k_values:
-                print("| " + str(k) + " | "
-                      + " | ".join(f"{value(k, nu):.2f}" for nu in nus) + " |")
-
-        grid_block(f"mean estimated d.f. ({label})",
-                   lambda k, nu: table.cells[(k, nu)].mean)
-        if published is not None:
-            print()
-            grid_block("published reference values", lambda k, nu: published[(k, nu)])
-            print()
-            grid_block("z-scores (mean - published) / std_error",
-                       lambda k, nu: (table.cells[(k, nu)].mean - published[(k, nu)])
-                       / table.cells[(k, nu)].std_error)
+def _method_table(records: list[dict], headers=("method", "estimate"), digits: int = 4):
+    """Markdown rows of a per-method listing, values rounded to ``digits`` decimals."""
+    return _markdown_table(headers, [[r["method"], *(f"{v:.{digits}f}" for v in
+                                                     list(r.values())[1:])] for r in records])
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +181,18 @@ def _emit_grid_table(table, label: str, fmt: str, published: dict | None) -> Non
 
 def _cmd_estimate(args) -> int:
     components = read_components(args.input)
-    config = AdjustmentConfig(args.constant, args.offset)
-    adjusted_label = f"adjusted(c={args.constant:g}, p={args.offset})"
-    pairs: list[tuple[str, float]] = []
+    adjusted = EstimatorVariant.adjusted(args.constant, args.offset)
+    variants = []
     if args.method in ("satterthwaite", "all"):
-        pairs.append(("satterthwaite", satterthwaite_df(components).value))
+        variants.append(EstimatorVariant.satterthwaite())
     if args.method == "vd2025" or (args.method == "all" and len(components) >= 2):
-        pairs.append(("vd2025", vondavier2025_df(components).value))
+        variants.append(EstimatorVariant.von_davier_2025())
     elif args.method == "all":
         print("note: vd2025 skipped (needs at least two components)", file=sys.stderr)
     if args.method in ("adjusted", "all"):
-        pairs.append((adjusted_label, adjusted_df(components, config).value))
-    _emit_methods(pairs, args.format)
+        variants.append(adjusted)
+    records = [{"method": v.label, "value": v.evaluate(components).value} for v in variants]
+    _emit(args.format, records, _method_table(records))
     return EXIT_OK
 
 
@@ -310,40 +200,59 @@ def _cmd_reproduce(args) -> int:
     grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
                           replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
-        # The published summary comes from another, unidentified grid.
-        n = 3 if args.diff else 2
-        rows = [(reference[0], pseudo_x2(generate_table(grid, variant, max_workers=args.threads)),
-                 reference[3])[:n] for variant, reference in zip(_X2_METHODS, REFERENCE_X2)]
-        _emit_methods(rows, args.format, ("method", "x2", "published")[:n],
-                      ("method", "x2", "published (other grid)")[:n], digits=5)
+        records = []
+        for label, c, p, published in REFERENCE_X2:
+            variant = (EstimatorVariant.satterthwaite() if c is None
+                       else EstimatorVariant.adjusted(c, p))
+            record = {"method": label,
+                      "x2": pseudo_x2(generate_table(grid, variant, max_workers=args.threads))}
+            if args.diff:
+                # The published summary comes from another, unidentified grid.
+                record["published"] = published
+            records.append(record)
+        headers = ("method", "x2", "published (other grid)")[:len(records[0])]
+        _emit(args.format, records, _method_table(records, headers, digits=5))
         return EXIT_OK
 
     method = _TABLE_METHODS[args.table]
     table = generate_table(grid, method, max_workers=args.threads)
-    published = REFERENCE_TABLES[args.table] if args.diff else None
-    _emit_grid_table(table, method.label, args.format, published)
+    published = REFERENCE_TABLES[args.table]
+    cells = {key: {"k": key[0], "nu": key[1], "mean": cell.mean, "std_error": cell.std_error,
+                   "expected": cell.expected} for key, cell in table.cells.items()}
+    blocks = [(f"mean estimated d.f. ({method.label})", "mean")]
+    if args.diff:
+        for key, record in cells.items():
+            record.update(published=published[key],
+                          z=(record["mean"] - published[key]) / record["std_error"])
+        blocks += [("published reference values", "published"),
+                   ("z-scores (mean - published) / std_error", "z")]
+    lines = []
+    for title, key in blocks:
+        lines += ([""] if lines else []) + [title] + _markdown_table(
+            ["K\\nu", *map(str, grid.nu_values)],
+            [[str(k), *(f"{cells[(k, nu)][key]:.2f}" for nu in grid.nu_values)]
+             for k in grid.k_values])
+    records = list(cells.values())
+    _emit(args.format, records, lines, payload={
+        "method": method.label, "seed": grid.seed, "replicates": grid.replicates,
+        "cells": records})
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
-    if args.kmax < 2 or args.numax < 1:
-        raise ComponentFileError("kmax must be >= 2 and numax >= 1")
     if not args.cmin < args.cmax:
-        raise ComponentFileError(f"cmin must be < cmax, got {args.cmin} >= {args.cmax}")
-    if args.step <= 0 or args.step > (args.cmax - args.cmin):
-        raise ComponentFileError("step larger than the C interval: empty grid")
-    c_grid = default_c_grid(args.cmin, args.cmax, args.step)
-    lo, hi = DEFAULT_C_INTERVAL
-    if args.cmin >= lo and args.cmax <= hi:
-        interval = DEFAULT_C_INTERVAL
-    else:
-        # The user overrode the default search range; widen the guard to match.
-        interval = (args.cmin - args.step, args.cmax + args.step)
+        raise InputError(f"cmin must be < cmax, got {args.cmin} >= {args.cmax}")
+    if not math.isfinite(args.cmax - args.cmin):
+        raise InputError("cmin and cmax must be finite")
+    if not 0 < args.step <= args.cmax - args.cmin:
+        raise InputError("step larger than the C interval: empty grid")
     grid = SimulationGrid(tuple(range(2, args.kmax + 1)),
                           tuple(range(1, args.numax + 1)),
                           replicates=args.replicates, seed=args.seed)
-    curve = run_calibration(grid, c_grid, folds=args.folds, max_degree=args.max_degree,
-                            c_interval=interval, max_workers=args.threads)
+    # The constants span [cmin, cmax], which is also the interval searched.
+    curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
+                            folds=args.folds, max_degree=args.max_degree,
+                            c_interval=None, max_workers=args.threads)
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(curve_rows(curve))
@@ -352,51 +261,51 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    if args.replicates < 1:
-        raise ComponentFileError("replicates must be >= 1")
-    rng = substream(args.seed, 2, 1, "ratio")
-    samples = ratio_samples_k2_nu1(args.replicates, rng)
-    writer = csv.writer(sys.stdout)
+    samples = ratio_samples_k2_nu1(args.replicates, substream(args.seed, 2, 1, "ratio"))
     if args.raw:
+        writer = csv.writer(sys.stdout)
         writer.writerow(["sample"])
-        for value in samples:
-            writer.writerow([_full(value)])
-    else:
-        if args.bins < 1:
-            raise ComponentFileError("bins must be >= 1")
-        counts, edges = np.histogram(samples, bins=args.bins, range=(1.0, 2.0))
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, count in enumerate(counts):
-            writer.writerow([_full(edges[i]), _full(edges[i + 1]), int(count)])
+        writer.writerows([value] for value in samples.tolist())
+        return EXIT_OK
+    counts, edges = np.histogram(samples, bins=args.bins, range=(1.0, 2.0))
+    _emit("csv", [{"bin_left": edges[i], "bin_right": edges[i + 1], "count": int(count)}
+                  for i, count in enumerate(counts)], [])
     return EXIT_OK
 
 
-def _cmd_apply_rubin(args) -> int:
-    inputs = RubinVariance(args.sampling_s2, args.sampling_df, args.imputation_s2, args.m)
-    config = AdjustmentConfig(args.constant, args.offset)
-    estimate = rubin_df(inputs, config)
-    _emit_apply(f"rubin adjusted(c={args.constant:g}, p={args.offset})",
-                estimate.value, rubin_components(inputs), args.format)
+# Each adapter's inputs, validated, as the components of its synthesis.
+_ADAPTERS = {
+    "rubin": lambda a: rubin_components(
+        RubinVariance(a.sampling_s2, a.sampling_df, a.imputation_s2, a.m)),
+    "welch": lambda a: welch_components(WelchInput(
+        a.s2_1, a.s2_2, a.n1, a.n2,
+        a.n1 - 1 if a.df1 is None else a.df1, a.n2 - 1 if a.df2 is None else a.df2)),
+    "jackknife": lambda a: jackknife_components(
+        JackknifeDeviations(tuple(a.deviations), a.constant)),
+}
+
+
+def _cmd_apply(args) -> int:
+    components = _ADAPTERS[args.adapter](args)
+    variant = EstimatorVariant.adjusted(args.constant, args.offset)
+    record = {"method": f"{args.adapter} {variant.label}",
+              "value": variant.evaluate(components).value}
+    markdown = _markdown_table(("weight", "s2", "df"), [
+        [f"{c.weight:g}", f"{c.s2:g}", str(c.df)] for c in components])
+    _emit(args.format, [record], markdown + [""] + _method_table([record]),
+          payload={**record, "components": [dataclasses.asdict(c) for c in components]})
     return EXIT_OK
 
 
-def _cmd_apply_welch(args) -> int:
-    df1 = args.df1 if args.df1 is not None else args.n1 - 1
-    df2 = args.df2 if args.df2 is not None else args.n2 - 1
-    inputs = WelchInput(args.s2_1, args.s2_2, args.n1, args.n2, df1, df2)
-    config = AdjustmentConfig(args.constant, args.offset)
-    estimate = welch_df(inputs, config)
-    _emit_apply(f"welch adjusted(c={args.constant:g}, p={args.offset})",
-                estimate.value, welch_components(inputs), args.format)
-    return EXIT_OK
-
-
-def _cmd_apply_jackknife(args) -> int:
-    inputs = JackknifeDeviations(tuple(args.deviations), args.constant)
-    estimate = jackknife_df(inputs)
-    _emit_apply(f"jackknife adjusted(c={args.constant:g}, p=0)",
-                estimate.value, jackknife_components(inputs), args.format)
-    return EXIT_OK
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="1 satterthwaite, 2 vd2025, 3 adjusted c=2.24, "
                             "4 adjusted c=2.69, x2 pseudo chi-square summary")
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_rep.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
+    p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
     p_rep.add_argument("--threads", type=int, default=1)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
@@ -447,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(handler=_cmd_reproduce)
 
     p_cal = sub.add_parser("calibrate", help="search the correction constant")
-    p_cal.add_argument("--kmax", type=int, default=5)
-    p_cal.add_argument("--numax", type=int, default=5)
+    p_cal.add_argument("--kmax", type=_at_least(2), default=5)
+    p_cal.add_argument("--numax", type=_at_least(1), default=5)
     p_cal.add_argument("--cmin", type=float, default=2.01)
     p_cal.add_argument("--cmax", type=float, default=3.19)
     p_cal.add_argument("--step", type=float, default=0.01)
-    p_cal.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
-    p_cal.add_argument("--folds", type=int, default=10)
-    p_cal.add_argument("--max-degree", type=int, default=6)
+    p_cal.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
+    p_cal.add_argument("--folds", type=_at_least(2), default=10)
+    p_cal.add_argument("--max-degree", type=_at_least(1), default=6)
     p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_cal.add_argument("--threads", type=int, default=1)
     p_cal.add_argument("--curve-out", default=None,
@@ -463,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_den = sub.add_parser("density",
                            help="histogram of the two-component single-d.f. ratio")
-    p_den.add_argument("--replicates", type=int, default=1_000_000)
+    p_den.add_argument("--replicates", type=_at_least(1), default=1_000_000)
     p_den.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_den.add_argument("--bins", type=int, default=50)
+    p_den.add_argument("--bins", type=_at_least(1), default=50)
     p_den.add_argument("--raw", action="store_true", help="emit raw samples instead of bins")
     p_den.set_defaults(handler=_cmd_density)
 
@@ -479,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rubin.add_argument("--imputation-s2", type=float, required=True)
     _add_adjustment(p_rubin)
     _add_format(p_rubin)
-    p_rubin.set_defaults(handler=_cmd_apply_rubin)
+    p_rubin.set_defaults(handler=_cmd_apply)
 
     p_welch = app_sub.add_parser("welch", help="two-sample unequal-variance pooled d.f.")
     p_welch.add_argument("--s2-1", dest="s2_1", type=float, required=True)
@@ -490,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_welch.add_argument("--df2", type=int, default=None, help="default n2 - 1")
     _add_adjustment(p_welch)
     _add_format(p_welch)
-    p_welch.set_defaults(handler=_cmd_apply_welch)
+    p_welch.set_defaults(handler=_cmd_apply)
 
     p_jack = app_sub.add_parser("jackknife", help="jackknife replication deviations")
     p_jack.add_argument("--deviations", type=float, nargs="+", required=True)
     p_jack.add_argument("--constant", type=float, default=RECOMMENDED_C)
     _add_format(p_jack)
-    p_jack.set_defaults(handler=_cmd_apply_jackknife)
+    p_jack.set_defaults(handler=_cmd_apply, offset=0)
 
     return parser
 
@@ -509,15 +418,9 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.handler(args)
-    except ComponentFileError as exc:
+    except (InputError, OSError, UnicodeDecodeError, SynthesisError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SynthesisError, CalibrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return EXIT_NUMERIC if isinstance(exc, (SynthesisError, CalibrationError)) else EXIT_INPUT
 
 
 if __name__ == "__main__":

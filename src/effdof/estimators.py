@@ -89,8 +89,9 @@ class VarianceComponent:
     the synthesis and should be dropped by the caller. Negative weights could
     produce a negative synthesized variance and are rejected outright.
     Component d.f. must be positive integers, matching the chi-square model
-    under which the adjustment was derived. ``s2 = 0`` is accepted (the
-    component then contributes nothing to either sum).
+    under which the adjustment was derived, and no larger than the largest
+    double. ``s2 = 0`` is accepted (the component then contributes nothing to
+    either sum).
     """
 
     weight: float
@@ -108,6 +109,8 @@ class VarianceComponent:
             raise SynthesisError(f"df must be a positive integer, got {self.df!r}")
         if self.df < 1:
             raise SynthesisError(f"df must be >= 1, got {self.df!r}")
+        if self.df > sys.float_info.max:
+            raise SynthesisError(f"df must be <= {sys.float_info.max!r}, the largest double")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "s2", s2)
         object.__setattr__(self, "df", int(self.df))

@@ -63,13 +63,24 @@ class TestEstimateCommand:
         out_value = float(parse_csv(capsys.readouterr().out)[0]["value"])
         assert out_value == satterthwaite_df(read_components(path)).value
 
-    def test_json_matches_csv_numbers(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "COMPONENTS"],
+        ["apply", "rubin", "--m", "5", "--sampling-s2", "4", "--sampling-df", "10",
+         "--imputation-s2", "1"],
+        ["reproduce", "--table", "1", "--diff", "--replicates", "50", "--seed", "4"],
+        ["reproduce", "--table", "x2", "--diff", "--replicates", "50", "--seed", "4"],
+    ], ids=["estimate", "apply-rubin", "table-1-diff", "x2-diff"])
+    def test_json_matches_csv_numbers(self, tmp_path, capsys, argv):
         path = write_csv(tmp_path / "c.csv", ["1,2,4", "1.25,3,6"])
-        main(["estimate", path, "--format", "csv"])
-        csv_vals = {r["method"]: float(r["value"]) for r in parse_csv(capsys.readouterr().out)}
-        main(["estimate", path, "--format", "json"])
-        json_vals = {r["method"]: r["value"] for r in json.loads(capsys.readouterr().out)}
-        assert csv_vals == json_vals
+        argv = [path if a == "COMPONENTS" else a for a in argv]
+        assert main(argv + ["--format", "csv"]) == 0
+        csv_rows = [{k: v if k == "method" else float(v) for k, v in row.items()}
+                    for row in parse_csv(capsys.readouterr().out)]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if isinstance(payload, dict):  # a table's cells, or one adapter record
+            payload = payload.get("cells") or [{k: payload[k] for k in ("method", "value")}]
+        assert csv_rows == payload
 
     def test_markdown_rounds_to_four_decimals(self, tmp_path, capsys):
         path = write_csv(tmp_path / "c.csv", ["1,1,1", "1,1,1"])
@@ -125,6 +136,11 @@ class TestEstimateCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "does-not-exist.csv"]) == 2
+
+    def test_df_beyond_double_range_exits_2(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "c.csv", ["1,1,1", "1,1,1" + "0" * 400])
+        assert main(["estimate", path]) == 2
+        assert "row 3" in capsys.readouterr().err
 
     def test_unknown_method_flag_exits_2(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", ["1,1,1"])
@@ -281,6 +297,13 @@ class TestCalibrateCommand:
     def test_inverted_bounds_exit_2(self):
         assert main(["calibrate", "--cmin", "3.0", "--cmax", "2.5"]) == 2
 
+    def test_bounds_of_the_default_interval_accepted(self, capsys):
+        assert main(["calibrate", "--kmax", "2", "--numax", "2",
+                     "--cmin", "2.0", "--cmax", "2.5", "--step", "0.05",
+                     "--replicates", "300", "--seed", "6"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert 2.0 <= summary["c_opt"] <= 2.5
+
     def test_override_outside_default_interval(self, capsys):
         assert main(["calibrate", "--kmax", "2", "--numax", "2",
                      "--cmin", "1.5", "--cmax", "1.9", "--step", "0.1",
@@ -296,3 +319,25 @@ class TestParserBasics:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--table", "1", "--replicates", "0"],
+    ["reproduce", "--table", "1", "--replicates", "1"],
+    ["calibrate", "--replicates", "1"],
+    ["calibrate", "--folds", "1"],
+    ["calibrate", "--max-degree", "0"],
+    ["calibrate", "--step", "nan"],
+    ["calibrate", "--cmax", "inf"],
+    ["density", "--bins", "0"],
+    ["estimate", "NOT_UTF8"],
+], ids=["reproduce-replicates-0", "reproduce-replicates-1", "calibrate-replicates-1",
+        "calibrate-folds-1", "calibrate-max-degree-0", "calibrate-step-nan",
+        "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8"])
+def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("weight,s2,df\n1,1,1\n\u00e9,1,1\n".encode("latin-1"))
+    for name in ("generate_table", "run_calibration", "ratio_samples_k2_nu1"):
+        monkeypatch.setattr(f"effdof.cli.{name}", lambda *a, **k: pytest.fail("simulation ran"))
+    assert main([str(path) if a == "NOT_UTF8" else a for a in argv]) == 2
+    assert "error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ written out as the arithmetic expressions they came from.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestVarianceComponent:
     def test_rejects_bad_df(self, df):
         with pytest.raises(SynthesisError):
             VarianceComponent(1.0, 1.0, df)
+
+    def test_rejects_df_beyond_double_range(self):
+        assert VarianceComponent(1.0, 1.0, int(sys.float_info.max)).df > 10**308
+        for df in (int(sys.float_info.max) + 1, 10**400):
+            with pytest.raises(SynthesisError, match="largest double"):
+                VarianceComponent(1.0, 1.0, df)
 
     def test_numpy_integer_df_accepted(self):
         c = VarianceComponent(1.0, 1.0, np.int64(4))
