@@ -6,106 +6,18 @@ Library layout:
   calibration   search for the correction constant minimizing the discrepancy
   applications  adapters for multiple imputation, the Welch test, jackknife
   cli           command-line front end (`effdof`)
+
+The package exports exactly the names each of the first four modules lists in
+its own ``__all__``; every public name is declared once, in its module.
 """
 
-from .applications import (
-    JackknifeDeviations,
-    RubinVariance,
-    WelchInput,
-    brr_df,
-    jackknife_components,
-    jackknife_df,
-    rubin_components,
-    rubin_df,
-    welch_components,
-    welch_df,
-)
-from .calibration import (
-    CalibrationCurve,
-    CalibrationError,
-    PolynomialFit,
-    convergence_study,
-    default_c_grid,
-    evaluate_x2_curve,
-    find_c_opt,
-    fit_polynomial_cv,
-    run_calibration,
-)
-from .estimators import (
-    RECOMMENDED_C,
-    AdjustmentConfig,
-    DegenerateSynthesisError,
-    DfEstimate,
-    EstimatorVariant,
-    NoComponentsError,
-    SynthesisError,
-    VarianceComponent,
-    adjusted_df,
-    recommended_df,
-    satterthwaite_df,
-    vondavier2025_df,
-    weighted_mean_df,
-)
-from .simulation import (
-    DEFAULT_REPLICATES,
-    DEFAULT_SEED,
-    CellStat,
-    MeanDfTable,
-    SimulationGrid,
-    generate_table,
-    pseudo_x2,
-    ratio_mean_k2_nu1,
-    ratio_samples_k2_nu1,
-    sample_chi2,
-    simulate_mean_df,
-    substream,
-)
+from . import applications, calibration, estimators, simulation
+from .applications import *  # noqa: F403
+from .calibration import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .simulation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjustmentConfig",
-    "CalibrationCurve",
-    "CalibrationError",
-    "CellStat",
-    "DEFAULT_REPLICATES",
-    "DEFAULT_SEED",
-    "DegenerateSynthesisError",
-    "DfEstimate",
-    "EstimatorVariant",
-    "JackknifeDeviations",
-    "MeanDfTable",
-    "NoComponentsError",
-    "PolynomialFit",
-    "RECOMMENDED_C",
-    "RubinVariance",
-    "SimulationGrid",
-    "SynthesisError",
-    "VarianceComponent",
-    "WelchInput",
-    "adjusted_df",
-    "brr_df",
-    "convergence_study",
-    "default_c_grid",
-    "evaluate_x2_curve",
-    "find_c_opt",
-    "fit_polynomial_cv",
-    "generate_table",
-    "jackknife_components",
-    "jackknife_df",
-    "pseudo_x2",
-    "ratio_mean_k2_nu1",
-    "ratio_samples_k2_nu1",
-    "recommended_df",
-    "rubin_components",
-    "rubin_df",
-    "run_calibration",
-    "sample_chi2",
-    "satterthwaite_df",
-    "simulate_mean_df",
-    "substream",
-    "vondavier2025_df",
-    "welch_components",
-    "welch_df",
-    "weighted_mean_df",
-]
+__all__ = sorted(applications.__all__ + calibration.__all__
+                 + estimators.__all__ + simulation.__all__)

@@ -7,7 +7,10 @@ Monte Carlo mean sits from the reference value K*nu, aggregated as
     X2(C) = sum_cells (M(C; K, nu) - K*nu)^2 / (K*nu),
 
 then smooths the sampled (C, X2) curve with a cross-validated polynomial and
-reports the constant minimizing the fitted polynomial.
+reports the constant minimizing the fitted polynomial over the span of the
+sampled constants. Any finite C >= 0 may be sampled, the range the estimator
+admits; the default grid runs from 2.01 to 3.19 in steps of 0.01. The study
+grid's seed drives both the component draws and the cross-validation folds.
 
 All constants are evaluated on the same component draws (common random
 numbers): each cell runs once, through the cell path that also builds the
@@ -33,17 +36,12 @@ __all__ = [
     "CalibrationError",
     "PolynomialFit",
     "convergence_study",
-    "curve_rows",
     "default_c_grid",
     "evaluate_x2_curve",
     "find_c_opt",
     "fit_polynomial_cv",
     "run_calibration",
-    "study_summary",
 ]
-
-#: Open interval the constant search was designed for.
-DEFAULT_C_INTERVAL = (2.0, 3.2)
 
 # Fixed tag so curve evaluation reuses one substream per cell across all C.
 _CRN_TAG = "crn"
@@ -86,27 +84,24 @@ def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) 
     return [start + i * step for i in range(n)]
 
 
-def evaluate_x2_curve(c_grid, grid: SimulationGrid, seed: int | None = None,
-                      c_interval: tuple[float, float] | None = DEFAULT_C_INTERVAL,
+def evaluate_x2_curve(c_grid, grid: SimulationGrid,
                       max_workers: int = 1) -> list[tuple[float, float]]:
     """Pseudo chi-square of the p = 0 adjusted estimator for each constant.
 
-    Returns (C, X2) pairs sorted by C. Every constant must lie strictly
-    inside ``c_interval`` (pass None to disable the check). The component
-    draws are shared across constants, so the curve is smooth in C.
+    Returns (C, X2) pairs sorted by C. Every constant must be finite and
+    >= 0, the constants the estimator itself admits. The component draws come
+    from ``grid.seed`` and are shared across constants, so the curve is
+    smooth in C.
     """
     cs = sorted({float(c) for c in c_grid})
     if not cs:
         raise CalibrationError("empty c_grid")
-    if c_interval is not None:
-        lo, hi = float(c_interval[0]), float(c_interval[1])
-        for c in cs:
-            if not lo < c < hi:
-                raise CalibrationError(f"constant {c} outside the open interval ({lo}, {hi})")
-    use_seed = grid.seed if seed is None else int(seed)
+    for c in cs:  # each one: NaN does not sort
+        if not 0.0 <= c < math.inf:
+            raise CalibrationError(f"constant {c} must be finite and >= 0")
     # Mean of the denominator-only variant (c = 0); the per-C mean is this
     # value divided by the deterministic shrink term of the cell.
-    base = _cell_stats(grid, EstimatorVariant.adjusted(0.0, 0), _CRN_TAG, use_seed, max_workers)
+    base = _cell_stats(grid, EstimatorVariant.adjusted(0.0, 0), _CRN_TAG, max_workers)
 
     points = []
     for c in cs:
@@ -207,16 +202,12 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     return c_opt, x2_min
 
 
-def run_calibration(grid: SimulationGrid, c_grid=None, seed: int | None = None,
-                    folds: int = 10, max_degree: int = 6,
-                    c_interval: tuple[float, float] | None = DEFAULT_C_INTERVAL,
-                    max_workers: int = 1) -> CalibrationCurve:
+def run_calibration(grid: SimulationGrid, c_grid=None, folds: int = 10,
+                    max_degree: int = 6, max_workers: int = 1) -> CalibrationCurve:
     """Evaluate the discrepancy curve, smooth it, and locate the optimum."""
     cs = default_c_grid() if c_grid is None else c_grid
-    points = evaluate_x2_curve(cs, grid, seed=seed, c_interval=c_interval,
-                               max_workers=max_workers)
-    fit_seed = grid.seed if seed is None else int(seed)
-    fit = fit_polynomial_cv(points, max_degree=max_degree, folds=folds, seed=fit_seed)
+    points = evaluate_x2_curve(cs, grid, max_workers=max_workers)
+    fit = fit_polynomial_cv(points, max_degree=max_degree, folds=folds, seed=grid.seed)
     c_opt, x2_min = find_c_opt(fit.coefficients, (points[0][0], points[-1][0]))
     return CalibrationCurve(
         c_points=tuple(c for c, _ in points),

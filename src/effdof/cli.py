@@ -240,19 +240,16 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if not args.cmin < args.cmax:
-        raise InputError(f"cmin must be < cmax, got {args.cmin} >= {args.cmax}")
-    if not math.isfinite(args.cmax - args.cmin):
-        raise InputError("cmin and cmax must be finite")
+    if not 0 <= args.cmin < args.cmax < math.inf:
+        raise InputError(f"need 0 <= cmin < cmax < inf, got {args.cmin} and {args.cmax}")
     if not 0 < args.step <= args.cmax - args.cmin:
         raise InputError("step larger than the C interval: empty grid")
     grid = SimulationGrid(tuple(range(2, args.kmax + 1)),
                           tuple(range(1, args.numax + 1)),
                           replicates=args.replicates, seed=args.seed)
-    # The constants span [cmin, cmax], which is also the interval searched.
     curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
                             folds=args.folds, max_degree=args.max_degree,
-                            c_interval=None, max_workers=args.threads)
+                            max_workers=args.threads)
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows(curve_rows(curve))

@@ -32,10 +32,7 @@ import sys
 from dataclasses import dataclass
 
 __all__ = [
-    "ADJUSTED",
     "RECOMMENDED_C",
-    "SATTERTHWAITE",
-    "VON_DAVIER_2025",
     "AdjustmentConfig",
     "DegenerateSynthesisError",
     "DfEstimate",
@@ -176,8 +173,14 @@ def _ratio(comps: tuple[VarianceComponent, ...], plus_two: bool) -> float:
             raise DegenerateSynthesisError("degenerate synthesis: all component variances are zero")
         terms = [math.ldexp(m, e - top) for m, e in parts]
     offset = 2 if plus_two else 0
+    scale = 1
     den = sum(t * t / (c.df + offset) for t, c in zip(terms, comps))
-    value = sum(terms) ** 2 / den
+    if den < sys.float_info.min:
+        # Only d.f. near the largest double get here: take them relative to
+        # the largest one so the sum stays normal, then scale the ratio back.
+        scale = max(c.df for c in comps) + offset
+        den = sum(t * t / ((c.df + offset) / scale) for t, c in zip(terms, comps))
+    value = sum(terms) ** 2 / den * scale
     if not math.isfinite(value):
         raise SynthesisError("effective d.f. is not finite for these components")
     return value
@@ -263,6 +266,8 @@ class EstimatorVariant:
         elif self.method in (VON_DAVIER_2025, ADJUSTED):
             if self.config is None:
                 raise ValueError(f"{self.method} requires an adjustment config")
+            if self.method == VON_DAVIER_2025 and self.config != AdjustmentConfig(2.0, 1):
+                raise ValueError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
         else:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -292,10 +297,8 @@ class EstimatorVariant:
     @property
     def label(self) -> str:
         """Short human-readable name for table headers."""
-        if self.method == SATTERTHWAITE:
-            return SATTERTHWAITE
-        if self.method == VON_DAVIER_2025:
-            return VON_DAVIER_2025
+        if self.method != ADJUSTED:
+            return self.method
         return f"adjusted(c={self.config.c:g}, p={self.config.p})"
 
     def evaluate(self, components) -> DfEstimate:

@@ -47,7 +47,6 @@ __all__ = [
     "ratio_mean_k2_nu1",
     "ratio_samples_k2_nu1",
     "sample_chi2",
-    "sample_chi2_matrix",
     "simulate_mean_df",
     "substream",
 ]
@@ -214,7 +213,7 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     return sum(float(part.sum()) for part in _ratio_chunks_k2_nu1(replicates, rng)) / replicates
 
 
-def _cell_stats(grid: SimulationGrid, method: EstimatorVariant, tag: str, seed: int,
+def _cell_stats(grid: SimulationGrid, method: EstimatorVariant, tag: str,
                 max_workers: int) -> list[CellStat]:
     """``simulate_mean_df`` on every cell of ``grid``, each on its own substream.
 
@@ -223,7 +222,7 @@ def _cell_stats(grid: SimulationGrid, method: EstimatorVariant, tag: str, seed: 
     """
     def one_cell(pair: tuple[int, int]) -> CellStat:
         k, nu = pair
-        return simulate_mean_df(k, nu, method, grid.replicates, substream(seed, k, nu, tag))
+        return simulate_mean_df(k, nu, method, grid.replicates, substream(grid.seed, k, nu, tag))
 
     pairs = grid.cells()
     if max_workers and int(max_workers) > 1:
@@ -240,7 +239,7 @@ def generate_table(grid: SimulationGrid, method: EstimatorVariant,
     evaluated in a thread pool. Each cell draws from its own substream, so
     the result does not depend on scheduling or worker count.
     """
-    stats = _cell_stats(grid, method, method.tag, grid.seed, max_workers)
+    stats = _cell_stats(grid, method, method.tag, max_workers)
     return MeanDfTable(grid, method, dict(zip(grid.cells(), stats)))
 
 

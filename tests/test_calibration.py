@@ -134,12 +134,12 @@ class TestEvaluateX2Curve:
             evaluate_x2_curve([], grid)
 
     def test_constants_outside_interval_rejected(self):
+        # The admitted constants are those of the estimator: finite and >= 0.
         grid = SimulationGrid((2, 3), (1, 2), replicates=100, seed=0)
-        with pytest.raises(CalibrationError, match="outside"):
-            evaluate_x2_curve([2.5, 3.3], grid)
-        # disabling the guard admits the same grid
-        points = evaluate_x2_curve([2.5, 3.3], grid, c_interval=None)
-        assert len(points) == 2
+        assert len(evaluate_x2_curve([2.5, 3.3], grid)) == 2
+        for c_grid in ([-1.0, 2.0], [2.0, float("inf")], [float("nan"), 2.0]):
+            with pytest.raises(CalibrationError):
+                evaluate_x2_curve(c_grid, grid)
 
     def test_curve_is_sorted_and_nonnegative(self):
         grid = SimulationGrid((2, 3), (1, 2, 3), replicates=1000, seed=5)

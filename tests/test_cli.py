@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestEstimateCommand:
         path = write_csv(tmp_path / "c.csv", ["1,1,1", "1,1,1" + "0" * 400])
         assert main(["estimate", path]) == 2
         assert "row 3" in capsys.readouterr().err
+
+    def test_df_near_the_largest_double_exits_0(self, tmp_path, capsys):
+        d = int(sys.float_info.max)
+        path = write_csv(tmp_path / "c.csv", [f"1,1,{d}"])
+        assert main(["estimate", path, "--method", "satterthwaite", "--format", "csv"]) == 0
+        assert float(parse_csv(capsys.readouterr().out)[0]["value"]) == float(d)
 
     def test_unknown_method_flag_exits_2(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", ["1,1,1"])
@@ -331,9 +338,11 @@ class TestParserBasics:
     ["calibrate", "--cmax", "inf"],
     ["density", "--bins", "0"],
     ["estimate", "NOT_UTF8"],
+    ["calibrate", "--cmin", "-5", "--kmax", "2", "--numax", "1"],
 ], ids=["reproduce-replicates-0", "reproduce-replicates-1", "calibrate-replicates-1",
         "calibrate-folds-1", "calibrate-max-degree-0", "calibrate-step-nan",
-        "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8"])
+        "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8",
+        "calibrate-cmin-negative"])
 def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, monkeypatch):
     path = tmp_path / "latin1.csv"
     path.write_bytes("weight,s2,df\n1,1,1\n\u00e9,1,1\n".encode("latin-1"))

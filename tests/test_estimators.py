@@ -111,6 +111,14 @@ class TestSatterthwaite:
         with pytest.raises(DegenerateSynthesisError, match="degenerate synthesis"):
             satterthwaite_df(comps((1, 0, 3), (2, 0, 5)))
 
+    def test_df_near_the_largest_double(self):
+        # The denominator 1/df is subnormal there; the ratio still returns df.
+        d = int(sys.float_info.max)
+        assert satterthwaite_df(comps((1, 1, d))).value == float(d)
+        assert recommended_df(comps((1, 1, d))).value == float(d)
+        with pytest.raises(SynthesisError, match="not finite"):
+            satterthwaite_df(comps((1, 1, 10**308), (1, 1, 10**308)))
+
     def test_method_label(self):
         est = satterthwaite_df(comps((1, 1, 1)))
         assert est.method == "satterthwaite" and est.config is None
@@ -209,6 +217,8 @@ class TestEstimatorVariant:
             EstimatorVariant("adjusted", None)
         with pytest.raises(ValueError):
             EstimatorVariant("mystery")
+        with pytest.raises(ValueError):
+            EstimatorVariant("vd2025", AdjustmentConfig(3.0, 0))
 
 
 def _all_variant_values(components):
