@@ -14,10 +14,13 @@ grid's seed drives both the component draws and the cross-validation folds.
 
 All constants are evaluated on the same component draws (common random
 numbers): each cell runs once, through the cell path that also builds the
-simulation tables, for the c = 0 variant on a fixed substream tag. Within a
-cell the shrink term is deterministic, so the mean for any C is that mean
-divided by ``1 + C / (K * nu)``. This makes the sampled curve smooth in C,
-which is what the polynomial smoother relies on.
+simulation tables, for the c = 0 variant. Within a cell the shrink term is
+deterministic, so the mean for any C is that mean divided by
+``1 + C / (K * nu)``. This makes the sampled curve smooth in C, which is what
+the polynomial smoother relies on. Tables and calibration share their draws:
+a cell of any table over the same grid and seed comes from the same
+substream, so ``evaluate_x2_curve([c], grid)`` is ``pseudo_x2`` of the
+adjusted(c, 0) table up to rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .estimators import EstimatorVariant
-from .simulation import DEFAULT_REPLICATES, DEFAULT_SEED, SimulationGrid, _cell_stats
+from .simulation import DEFAULT_REPLICATES, DEFAULT_SEED, SimulationGrid, generate_table
 
 __all__ = [
     "CalibrationCurve",
@@ -42,9 +45,6 @@ __all__ = [
     "fit_polynomial_cv",
     "run_calibration",
 ]
-
-# Fixed tag so curve evaluation reuses one substream per cell across all C.
-_CRN_TAG = "crn"
 
 
 class CalibrationError(ValueError):
@@ -101,12 +101,12 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid,
             raise CalibrationError(f"constant {c} must be finite and >= 0")
     # Mean of the denominator-only variant (c = 0); the per-C mean is this
     # value divided by the deterministic shrink term of the cell.
-    base = _cell_stats(grid, EstimatorVariant.adjusted(0.0, 0), _CRN_TAG, max_workers)
+    base = generate_table(grid, EstimatorVariant.adjusted(0.0, 0), max_workers).cells
 
     points = []
     for c in cs:
         x2 = 0.0
-        for (k, nu), cell in zip(grid.cells(), base):
+        for (k, nu), cell in base.items():
             reference = float(k * nu)
             mean_c = cell.mean / (1.0 + c / (k * float(nu)))
             x2 += (mean_c - reference) ** 2 / reference

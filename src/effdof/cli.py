@@ -51,6 +51,7 @@ from .simulation import (
     DEFAULT_SEED,
     SimulationGrid,
     generate_table,
+    generate_tables,
     pseudo_x2,
     ratio_samples_k2_nu1,
     substream,
@@ -200,12 +201,12 @@ def _cmd_reproduce(args) -> int:
     grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
                           replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
+        variants = [EstimatorVariant.satterthwaite() if c is None
+                    else EstimatorVariant.adjusted(c, p) for _, c, p, _ in REFERENCE_X2]
+        tables = generate_tables(grid, variants, max_workers=args.threads)
         records = []
-        for label, c, p, published in REFERENCE_X2:
-            variant = (EstimatorVariant.satterthwaite() if c is None
-                       else EstimatorVariant.adjusted(c, p))
-            record = {"method": label,
-                      "x2": pseudo_x2(generate_table(grid, variant, max_workers=args.threads))}
+        for (label, _, _, published), table in zip(REFERENCE_X2, tables):
+            record = {"method": label, "x2": pseudo_x2(table)}
             if args.diff:
                 # The published summary comes from another, unidentified grid.
                 record["published"] = published
@@ -344,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "4 adjusted c=2.69, x2 pseudo chi-square summary")
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
-    p_rep.add_argument("--threads", type=int, default=1)
+    p_rep.add_argument("--threads", type=_at_least(1), default=1)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
                             "for x2 the published summary comes from another, "
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--folds", type=_at_least(2), default=10)
     p_cal.add_argument("--max-degree", type=_at_least(1), default=6)
     p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_cal.add_argument("--threads", type=int, default=1)
+    p_cal.add_argument("--threads", type=_at_least(1), default=1)
     p_cal.add_argument("--curve-out", default=None,
                        help="optional path for the sampled (C, X2) curve CSV")
     p_cal.set_defaults(handler=_cmd_calibrate)

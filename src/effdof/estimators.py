@@ -252,8 +252,9 @@ class EstimatorVariant:
 
     Used wherever a method has to travel as data: simulation tables, the
     calibration study, and the CLI. Variants with identical parameters (for
-    example vd2025 and adjusted(c=2, p=1)) share the same stream ``tag`` and
-    therefore produce identical simulation results.
+    example vd2025 and adjusted(c=2, p=1)) share the same ``tag`` and produce
+    identical simulation results. The tag selects no random stream: every
+    variant's table is drawn from the same substreams.
     """
 
     method: str
@@ -289,7 +290,10 @@ class EstimatorVariant:
 
     @property
     def tag(self) -> str:
-        """Stable identifier; parameter-identical variants share a tag."""
+        """Stable identifier of the parameters; parameter-identical variants share it.
+
+        Simulation streams do not depend on it.
+        """
         if self.method == SATTERTHWAITE:
             return SATTERTHWAITE
         return f"adjusted(c={self.config.c!r},p={self.config.p})"

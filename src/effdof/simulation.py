@@ -14,15 +14,18 @@ and the weighted mean d.f. is nu whatever the weights. A cell therefore
 keeps only that ratio per replicate and scales its mean and standard error
 by the factor the estimator itself returns for K identical components.
 
-Chi-square variates are formed as sums of squared independent standard
-normal deviates. ``Generator.chisquare`` draws from the same law; this
-construction is kept so that the streams, and with them every table for a
-given seed, stay reproducible.
+Chi-square variates come from ``Generator.chisquare``, numpy's gamma sampler
+(Marsaglia & Tsang 2000, ACM TOMS 26(3)), whose cost does not grow with nu.
+The two-component single-d.f. ratio stays on squared standard normals, which
+are cheaper than the gamma sampler at one d.f.
 
-Every cell derives its own random substream deterministically from
-``(seed, K, nu, tag)``. Tables are therefore bit-reproducible for a fixed
-seed no matter the evaluation order or the number of worker threads, and
-streams are never shared across cells.
+Every table cell draws from its own random substream, derived
+deterministically from ``(seed, K, nu)`` and one fixed tag shared by every
+estimator variant and by the calibration study. One draw pass therefore
+serves the tables of any number of variants, and those tables are perfectly
+correlated: they differ cell by cell only by the estimator's factor. Tables
+are bit-reproducible for a fixed seed no matter the evaluation order or the
+number of worker threads, and streams are never shared across cells.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "MeanDfTable",
     "SimulationGrid",
     "generate_table",
+    "generate_tables",
     "pseudo_x2",
     "ratio_mean_k2_nu1",
     "ratio_samples_k2_nu1",
@@ -55,8 +59,10 @@ DEFAULT_SEED = 1
 DEFAULT_REPLICATES = 10_000
 
 _MASK64 = (1 << 64) - 1
-# Upper bound on normal deviates drawn per chunk; keeps peak memory ~32 MB.
+# Upper bound on variates drawn per chunk; keeps peak memory ~32 MB.
 _CHUNK_SCALARS = 4_000_000
+# Substream tag of every table and calibration cell, whatever the variant.
+_CRN_TAG = "crn"
 
 
 def substream(seed: int, k: int, nu: int, tag: str) -> np.random.Generator:
@@ -115,19 +121,42 @@ class MeanDfTable:
 
 
 def sample_chi2(df: int, rng: np.random.Generator) -> float:
-    """One chi-square(df) draw, formed as the sum of df squared N(0,1) deviates."""
+    """One chi-square(df) draw.
+
+    Consumes the stream as one element of ``sample_chi2_matrix`` does, so a
+    loop over this function replays a matrix draw bit for bit.
+    """
     if int(df) < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    z = rng.standard_normal(int(df))
-    # einsum keeps the summation order identical to sample_chi2_matrix, so a
-    # loop over this function replays a matrix cell draw bit for bit.
-    return float(np.einsum("i,i->", z, z))
+    return float(rng.chisquare(int(df)))
 
 
 def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int) -> np.ndarray:
     """(n, k) matrix of independent chi-square(nu) draws from one stream."""
-    z = rng.standard_normal((n, k, nu))
-    return np.einsum("rkn,rkn->rk", z, z)
+    return rng.chisquare(nu, (n, k))
+
+
+def _factor(method: EstimatorVariant, k: int, nu: int) -> float:
+    """What turns Satterthwaite's ratio into ``method`` at (K, nu).
+
+    The estimator on K identical components is K times this factor (see the
+    module docstring).
+    """
+    return method.evaluate([VarianceComponent(1.0, 1.0, nu)] * k).value / k
+
+
+def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
+                weights=None) -> tuple[float, float]:
+    """Mean and standard error of Satterthwaite's ratio over ``replicates`` draws."""
+    ratios = np.empty(replicates)
+    chunk = max(1, _CHUNK_SCALARS // k)
+    for done in range(0, replicates, chunk):
+        s = sample_chi2_matrix(rng, min(chunk, replicates - done), k, nu)
+        if weights is not None:
+            s *= weights
+        # The row sums are taken before s is squared in place.
+        ratios[done:done + len(s)] = s.sum(axis=1) ** 2 / np.square(s, out=s).sum(axis=1)
+    return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(replicates))
 
 
 def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
@@ -158,27 +187,17 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
         expected = float(k * nu)
     else:
         expected = float(nu * w.sum() ** 2 / np.square(w).sum())
-    # The estimator on K identical components is K times the factor that
-    # turns Satterthwaite's ratio into its value (see the module docstring).
-    factor = method.evaluate([VarianceComponent(1.0, 1.0, nu)] * k).value / k
-
-    ratios = np.empty(replicates)
-    chunk = max(1, _CHUNK_SCALARS // (k * nu))
-    for done in range(0, replicates, chunk):
-        s = sample_chi2_matrix(rng, min(chunk, replicates - done), k, nu)
-        if w is not None:
-            s *= w
-        ratios[done:done + len(s)] = s.sum(axis=1) ** 2 / np.square(s).sum(axis=1)
-    mean = float(ratios.mean()) * factor
-    std_error = float(ratios.std(ddof=1) / math.sqrt(replicates)) * factor
-    return CellStat(mean, std_error, expected)
+    factor = _factor(method, k, nu)
+    mean, std_error = _ratio_stat(k, nu, replicates, rng, w)
+    return CellStat(mean * factor, std_error * factor, expected)
 
 
 def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
     """The clipped two-component single-d.f. ratio, one chunk of draws at a time."""
     chunk = max(1, _CHUNK_SCALARS // 2)
     for done in range(0, replicates, chunk):
-        s = np.square(rng.standard_normal((min(chunk, replicates - done), 2)))
+        z = rng.standard_normal((min(chunk, replicates - done), 2))
+        s = np.square(z, out=z)
         ratio = (s[:, 0] + s[:, 1]) ** 2 / (s[:, 0] ** 2 + s[:, 1] ** 2)
         yield np.clip(ratio, 1.0, 2.0, out=ratio)
 
@@ -213,34 +232,45 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     return sum(float(part.sum()) for part in _ratio_chunks_k2_nu1(replicates, rng)) / replicates
 
 
-def _cell_stats(grid: SimulationGrid, method: EstimatorVariant, tag: str,
-                max_workers: int) -> list[CellStat]:
-    """``simulate_mean_df`` on every cell of ``grid``, each on its own substream.
+def generate_tables(grid: SimulationGrid, methods,
+                    max_workers: int = 1) -> list[MeanDfTable]:
+    """One table per method, all from a single draw pass over ``grid``.
 
-    The one place cells are scheduled: serially, or in a thread pool when
-    ``max_workers > 1``. Results follow ``grid.cells()`` order either way.
+    Every cell is drawn once, from its own substream; each method's cell is
+    the same Satterthwaite ratio mean and standard error times that method's
+    factor, so the tables are perfectly correlated. This is the one place
+    cells are scheduled: serially, or in a thread pool when
+    ``max_workers > 1``. The result does not depend on scheduling or worker
+    count.
     """
-    def one_cell(pair: tuple[int, int]) -> CellStat:
-        k, nu = pair
-        return simulate_mean_df(k, nu, method, grid.replicates, substream(grid.seed, k, nu, tag))
+    methods, pairs = list(methods), grid.cells()
+    if grid.replicates < 2:
+        raise ValueError(f"replicates must be >= 2, got {grid.replicates}")
+    # Every factor first: a method that cannot run on the grid fails before any draw.
+    factors = [[_factor(method, k, nu) for k, nu in pairs] for method in methods]
 
-    pairs = grid.cells()
+    def one_cell(pair: tuple[int, int]) -> tuple[float, float]:
+        k, nu = pair
+        return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG))
+
     if max_workers and int(max_workers) > 1:
         with ThreadPoolExecutor(max_workers=int(max_workers)) as pool:
-            return list(pool.map(one_cell, pairs))
-    return [one_cell(pair) for pair in pairs]
+            stats = list(pool.map(one_cell, pairs))
+    else:
+        stats = [one_cell(pair) for pair in pairs]
+    return [MeanDfTable(grid, method, {
+        (k, nu): CellStat(mean * f, std_error * f, float(k * nu))
+        for (k, nu), (mean, std_error), f in zip(pairs, stats, fs)})
+        for method, fs in zip(methods, factors)]
 
 
 def generate_table(grid: SimulationGrid, method: EstimatorVariant,
                    max_workers: int = 1) -> MeanDfTable:
     """Mean estimated d.f. per grid cell, bit-reproducible for a fixed seed.
 
-    Cells are independent work units; with ``max_workers > 1`` they are
-    evaluated in a thread pool. Each cell draws from its own substream, so
-    the result does not depend on scheduling or worker count.
+    The one-method case of ``generate_tables``.
     """
-    stats = _cell_stats(grid, method, method.tag, max_workers)
-    return MeanDfTable(grid, method, dict(zip(grid.cells(), stats)))
+    return generate_tables(grid, [method], max_workers)[0]
 
 
 def pseudo_x2(table: MeanDfTable) -> float:

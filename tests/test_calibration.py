@@ -6,12 +6,15 @@ from numpy.polynomial import Polynomial
 
 from effdof import (
     CalibrationError,
+    EstimatorVariant,
     SimulationGrid,
     convergence_study,
     default_c_grid,
     evaluate_x2_curve,
     find_c_opt,
     fit_polynomial_cv,
+    generate_table,
+    pseudo_x2,
     run_calibration,
 )
 from effdof.calibration import curve_rows, study_summary
@@ -160,6 +163,12 @@ class TestEvaluateX2Curve:
         serial = evaluate_x2_curve([2.2, 2.8], grid, max_workers=1)
         threaded = evaluate_x2_curve([2.2, 2.8], grid, max_workers=3)
         assert serial == threaded
+
+    def test_shares_draws_with_tables(self):
+        grid = SimulationGrid((2, 4, 9), (1, 3, 7), replicates=1500, seed=5)
+        [(_, x2)] = evaluate_x2_curve([2.69], grid)
+        table = generate_table(grid, EstimatorVariant.adjusted(2.69, 0))
+        assert x2 == pytest.approx(pseudo_x2(table), rel=1e-12)
 
 
 class TestRunCalibration:

@@ -10,6 +10,8 @@ import pytest
 
 from effdof import VarianceComponent, satterthwaite_df
 from effdof.cli import main, read_components
+from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
+from effdof.simulation import sample_chi2_matrix
 
 
 def write_csv(path, rows, header="weight,s2,df"):
@@ -271,6 +273,19 @@ class TestReproduceCommand:
         assert lines[0] == "| method | x2 | published (other grid) |"
         assert lines[2].endswith("| 13.27251 |")
 
+    def test_x2_draws_one_table(self, capsys, monkeypatch):
+        """The four X2 variants come from one draw pass: one sampler call per cell."""
+        calls = []
+
+        def counting(rng, n, k, nu):
+            calls.append((k, nu))
+            return sample_chi2_matrix(rng, n, k, nu)
+
+        monkeypatch.setattr("effdof.simulation.sample_chi2_matrix", counting)
+        assert main(["reproduce", "--table", "x2", "--replicates", "50"]) == 0
+        assert sorted(calls) == [(k, nu) for k in REFERENCE_K_VALUES
+                                 for nu in REFERENCE_NU_VALUES]
+
     def test_thread_flag_reproducible(self, capsys):
         args = ["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",
                 "--format", "csv"]
@@ -339,14 +354,20 @@ class TestParserBasics:
     ["density", "--bins", "0"],
     ["estimate", "NOT_UTF8"],
     ["calibrate", "--cmin", "-5", "--kmax", "2", "--numax", "1"],
+    ["reproduce", "--table", "x2", "--threads", "0"],
+    ["reproduce", "--table", "1", "--threads", "-3"],
+    ["calibrate", "--threads", "0"],
+    ["calibrate", "--threads", "1e9"],
 ], ids=["reproduce-replicates-0", "reproduce-replicates-1", "calibrate-replicates-1",
         "calibrate-folds-1", "calibrate-max-degree-0", "calibrate-step-nan",
         "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8",
-        "calibrate-cmin-negative"])
+        "calibrate-cmin-negative", "reproduce-threads-0", "reproduce-threads-negative",
+        "calibrate-threads-0", "calibrate-threads-not-int"])
 def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, monkeypatch):
     path = tmp_path / "latin1.csv"
     path.write_bytes("weight,s2,df\n1,1,1\n\u00e9,1,1\n".encode("latin-1"))
-    for name in ("generate_table", "run_calibration", "ratio_samples_k2_nu1"):
+    for name in ("generate_table", "generate_tables", "run_calibration",
+                 "ratio_samples_k2_nu1"):
         monkeypatch.setattr(f"effdof.cli.{name}", lambda *a, **k: pytest.fail("simulation ran"))
     assert main([str(path) if a == "NOT_UTF8" else a for a in argv]) == 2
     assert "error" in capsys.readouterr().err

@@ -9,7 +9,7 @@ PUBLIC_NAMES = [
     "PolynomialFit", "RECOMMENDED_C", "RubinVariance", "SimulationGrid", "SynthesisError",
     "VarianceComponent", "WelchInput", "adjusted_df", "brr_df", "convergence_study",
     "default_c_grid", "evaluate_x2_curve", "find_c_opt", "fit_polynomial_cv",
-    "generate_table", "jackknife_components", "jackknife_df", "pseudo_x2",
+    "generate_table", "generate_tables", "jackknife_components", "jackknife_df", "pseudo_x2",
     "ratio_mean_k2_nu1", "ratio_samples_k2_nu1", "recommended_df", "rubin_components",
     "rubin_df", "run_calibration", "sample_chi2", "satterthwaite_df", "simulate_mean_df",
     "substream", "vondavier2025_df", "weighted_mean_df", "welch_components", "welch_df",

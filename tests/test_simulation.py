@@ -11,6 +11,7 @@ from effdof import (
     SynthesisError,
     VarianceComponent,
     generate_table,
+    generate_tables,
     pseudo_x2,
     ratio_mean_k2_nu1,
     ratio_samples_k2_nu1,
@@ -22,10 +23,10 @@ from effdof.simulation import CellStat, MeanDfTable, sample_chi2_matrix
 
 
 class _ZeroRng:
-    """Stand-in generator whose normal deviates are all zero."""
+    """Stand-in generator whose chi-square variates are all zero."""
 
-    def standard_normal(self, size):
-        return np.zeros(size)
+    def chisquare(self, df, size=None):
+        return 0.0 if size is None else np.zeros(size)
 
 
 class _OnesRng:
@@ -50,7 +51,11 @@ def angular_ratio_mean_oracle() -> float:
 
 class TestSampleChi2:
     def test_zero_normals_hit_support_boundary(self):
+        """A generator that returns zero variates gives the support boundary 0."""
         assert sample_chi2(1, _ZeroRng()) == 0.0
+        matrix = sample_chi2_matrix(_ZeroRng(), 3, 2, 4)
+        assert matrix.shape == (3, 2)
+        assert not matrix.any()
 
     def test_rejects_nonpositive_df(self):
         with pytest.raises(ValueError):
@@ -193,6 +198,21 @@ class TestGenerateTable:
         serial = generate_table(grid, method, max_workers=1)
         threaded = generate_table(grid, method, max_workers=4)
         assert serial.cells == threaded.cells
+
+    def test_variants_share_one_draw_pass(self):
+        """Each variant's cell is the Satterthwaite cell times its K-identical factor."""
+        grid = SimulationGrid((2, 4, 9), (1, 3, 7), replicates=1500, seed=21)
+        classic, adjusted = EstimatorVariant.satterthwaite(), EstimatorVariant.adjusted(2.69, 0)
+        base = generate_table(grid, classic)
+        table = generate_table(grid, adjusted)
+        for (k, nu), cell in table.cells.items():
+            identical = [VarianceComponent(1.0, 1.0, nu)] * k
+            factor = adjusted.evaluate(identical).value / classic.evaluate(identical).value
+            assert cell.mean == pytest.approx(base.cells[(k, nu)].mean * factor, rel=1e-15)
+            assert cell.std_error == pytest.approx(
+                base.cells[(k, nu)].std_error * factor, rel=1e-15)
+        together = generate_tables(grid, [classic, adjusted], max_workers=2)
+        assert [t.cells for t in together] == [base.cells, table.cells]
 
     def test_parameter_identical_variants_share_streams(self):
         grid = SimulationGrid((2, 4), (1, 3), replicates=1500, seed=21)
