@@ -248,6 +248,11 @@ def _cmd_calibrate(args) -> int:
     grid = SimulationGrid(tuple(range(2, args.kmax + 1)),
                           tuple(range(1, args.numax + 1)),
                           replicates=args.replicates, seed=args.seed)
+    if args.curve_out:
+        # A path that cannot be written fails before the first draw, not after
+        # the whole study; append mode leaves an existing file as it is.
+        with open(args.curve_out, "a", encoding="utf-8"):
+            pass
     curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
                             folds=args.folds, max_degree=args.max_degree,
                             max_workers=args.threads)

@@ -26,6 +26,10 @@ serves the tables of any number of variants, and those tables are perfectly
 correlated: they differ cell by cell only by the estimator's factor. Tables
 are bit-reproducible for a fixed seed no matter the evaluation order or the
 number of worker threads, and streams are never shared across cells.
+
+Draws are made in cache-sized chunks. A generator hands out its variates in
+order, so a chunk of m rows followed by one of n rows consumes the stream
+exactly as one draw of m + n rows does: the chunk sizes never change a draw.
 """
 
 from __future__ import annotations
@@ -59,8 +63,11 @@ DEFAULT_SEED = 1
 DEFAULT_REPLICATES = 10_000
 
 _MASK64 = (1 << 64) - 1
-# Upper bound on variates drawn per chunk; keeps peak memory ~32 MB.
-_CHUNK_SCALARS = 4_000_000
+# Upper bound on variates drawn per cell chunk: 2^17 doubles (1 MB), small
+# enough that a chunk stays in cache while it is squared and reduced.
+_CHUNK_SCALARS = 1 << 17
+# Rows per chunk of the two-component single-d.f. ratio (2^16 normals, 512 KB).
+_RATIO_CHUNK_ROWS = 1 << 15
 # Substream tag of every table and calibration cell, whatever the variant.
 _CRN_TAG = "crn"
 
@@ -145,6 +152,22 @@ def _factor(method: EstimatorVariant, k: int, nu: int) -> float:
     return method.evaluate([VarianceComponent(1.0, 1.0, nu)] * k).value / k
 
 
+def _row_sums(s: np.ndarray) -> np.ndarray:
+    """``s.sum(axis=1)``, bit for bit, without a per-row reduction below 8 columns.
+
+    numpy sums fewer than eight terms left to right, so adding whole columns
+    in that order gives the same bits; from eight terms on its pairwise order
+    differs and the reduction itself is kept.
+    """
+    k = s.shape[1]
+    if k >= 8:
+        return s.sum(axis=1)
+    total = s[:, 0].copy()
+    for j in range(1, k):
+        total += s[:, j]
+    return total
+
+
 def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
                 weights=None) -> tuple[float, float]:
     """Mean and standard error of Satterthwaite's ratio over ``replicates`` draws."""
@@ -155,7 +178,9 @@ def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
         if weights is not None:
             s *= weights
         # The row sums are taken before s is squared in place.
-        ratios[done:done + len(s)] = s.sum(axis=1) ** 2 / np.square(s, out=s).sum(axis=1)
+        total = _row_sums(s)
+        np.square(total, out=total)
+        np.divide(total, _row_sums(np.square(s, out=s)), out=ratios[done:done + len(s)])
     return float(ratios.mean()), float(ratios.std(ddof=1) / math.sqrt(replicates))
 
 
@@ -193,12 +218,21 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
 
 
 def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
-    """The clipped two-component single-d.f. ratio, one chunk of draws at a time."""
-    chunk = max(1, _CHUNK_SCALARS // 2)
-    for done in range(0, replicates, chunk):
-        z = rng.standard_normal((min(chunk, replicates - done), 2))
-        s = np.square(z, out=z)
-        ratio = (s[:, 0] + s[:, 1]) ** 2 / (s[:, 0] ** 2 + s[:, 1] ** 2)
+    """The clipped two-component single-d.f. ratio, one chunk of draws at a time.
+
+    Every chunk is computed in one reused buffer, which the caller must
+    consume before asking for the next chunk.
+    """
+    buffer = np.empty(min(_RATIO_CHUNK_ROWS, replicates))
+    for done in range(0, replicates, _RATIO_CHUNK_ROWS):
+        m = min(_RATIO_CHUNK_ROWS, replicates - done)
+        s = rng.standard_normal((m, 2))
+        np.square(s, out=s)
+        ratio = np.add(s[:, 0], s[:, 1], out=buffer[:m])
+        np.square(ratio, out=ratio)
+        np.square(s, out=s)
+        den = np.add(s[:, 0], s[:, 1], out=s[:, 0])
+        np.divide(ratio, den, out=ratio)
         yield np.clip(ratio, 1.0, 2.0, out=ratio)
 
 

@@ -164,6 +164,25 @@ class TestEvaluateX2Curve:
         threaded = evaluate_x2_curve([2.2, 2.8], grid, max_workers=3)
         assert serial == threaded
 
+    @pytest.mark.parametrize("k_values, nu_values, c_grid", [
+        ((2, 3, 5, 9), (1, 2, 4, 7), default_c_grid()),
+        # One cell and many constants: every X2 is a single squared term, so a
+        # square that rounds unlike the scalar loop's shows at some constant.
+        ((2,), (1,), [i * 0.0025 for i in range(20001)]),
+    ], ids=["grid-4x4", "one-cell"])
+    def test_equals_scalar_loop_bit_for_bit(self, k_values, nu_values, c_grid):
+        grid = SimulationGrid(k_values, nu_values, replicates=300, seed=11)
+        base = generate_table(grid, EstimatorVariant.adjusted(0.0, 0)).cells
+        expected = []
+        for c in sorted(set(c_grid)):
+            x2 = 0.0
+            for (k, nu), cell in base.items():
+                reference = float(k * nu)
+                mean_c = cell.mean / (1.0 + c / (k * float(nu)))
+                x2 += (mean_c - reference) ** 2 / reference
+            expected.append((c, x2))
+        assert evaluate_x2_curve(c_grid, grid) == expected
+
     def test_shares_draws_with_tables(self):
         grid = SimulationGrid((2, 4, 9), (1, 3, 7), replicates=1500, seed=5)
         [(_, x2)] = evaluate_x2_curve([2.69], grid)

@@ -358,16 +358,19 @@ class TestParserBasics:
     ["reproduce", "--table", "1", "--threads", "-3"],
     ["calibrate", "--threads", "0"],
     ["calibrate", "--threads", "1e9"],
+    ["calibrate", "--kmax", "2", "--numax", "1", "--curve-out", "MISSING_DIR"],
 ], ids=["reproduce-replicates-0", "reproduce-replicates-1", "calibrate-replicates-1",
         "calibrate-folds-1", "calibrate-max-degree-0", "calibrate-step-nan",
         "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8",
         "calibrate-cmin-negative", "reproduce-threads-0", "reproduce-threads-negative",
-        "calibrate-threads-0", "calibrate-threads-not-int"])
+        "calibrate-threads-0", "calibrate-threads-not-int",
+        "calibrate-curve-out-missing-dir"])
 def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, monkeypatch):
     path = tmp_path / "latin1.csv"
     path.write_bytes("weight,s2,df\n1,1,1\n\u00e9,1,1\n".encode("latin-1"))
+    paths = {"NOT_UTF8": str(path), "MISSING_DIR": str(tmp_path / "missing" / "curve.csv")}
     for name in ("generate_table", "generate_tables", "run_calibration",
                  "ratio_samples_k2_nu1"):
         monkeypatch.setattr(f"effdof.cli.{name}", lambda *a, **k: pytest.fail("simulation ran"))
-    assert main([str(path) if a == "NOT_UTF8" else a for a in argv]) == 2
+    assert main([paths.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err

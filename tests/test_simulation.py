@@ -19,7 +19,8 @@ from effdof import (
     simulate_mean_df,
     substream,
 )
-from effdof.simulation import CellStat, MeanDfTable, sample_chi2_matrix
+from effdof import simulation
+from effdof.simulation import CellStat, MeanDfTable, _ratio_stat, _row_sums, sample_chi2_matrix
 
 
 class _ZeroRng:
@@ -103,6 +104,41 @@ class TestRatioSampling:
             ratio_samples_k2_nu1(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ratio_mean_k2_nu1(1, np.random.default_rng(0))
+
+
+class TestChunkedKernels:
+    """Chunk sizes and reduction kernels change no bit of any result."""
+
+    @pytest.mark.parametrize("k", [*range(1, 13), 20, 160])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_row_sums_equal_numpy_sum(self, k, weighted):
+        rng = np.random.default_rng(k)
+        s = sample_chi2_matrix(rng, 999, k, 3)
+        if weighted:
+            s *= 10.0 ** rng.uniform(-3.0, 3.0, k)
+        for m in (s, np.square(s)):
+            assert _row_sums(m).tobytes() == m.sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("k, nu", [(2, 1), (5, 3), (9, 2), (40, 7)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
+    def test_cell_stat_does_not_depend_on_chunk_size(self, k, nu, weighted, monkeypatch):
+        weights = np.linspace(0.5, 2.0, k) if weighted else None
+        whole = _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"), weights)
+        monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 37)
+        assert _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"), weights) == whole
+
+    def test_ratio_samples_do_not_depend_on_chunk_size(self, monkeypatch):
+        whole = ratio_samples_k2_nu1(1000, substream(4, 2, 1, "chunks"))
+        monkeypatch.setattr(simulation, "_RATIO_CHUNK_ROWS", 7)
+        chunked = ratio_samples_k2_nu1(1000, substream(4, 2, 1, "chunks"))
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_ratio_mean_is_the_mean_of_the_samples(self):
+        # Only the summation order differs: the sum runs chunk by chunk.
+        n = 100_003
+        mean = ratio_mean_k2_nu1(n, substream(4, 2, 1, "mean"))
+        samples = ratio_samples_k2_nu1(n, substream(4, 2, 1, "mean"))
+        assert mean == pytest.approx(float(samples.mean()), rel=1e-15, abs=0.0)
 
 
 class TestSimulateMeanDf:
