@@ -85,7 +85,7 @@ def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) 
 
 
 def evaluate_x2_curve(c_grid, grid: SimulationGrid,
-                      max_workers: int = 1) -> list[tuple[float, float]]:
+                      max_workers: int | None = None) -> list[tuple[float, float]]:
     """Pseudo chi-square of the p = 0 adjusted estimator for each constant.
 
     Returns (C, X2) pairs sorted by C. Every constant must be finite and
@@ -205,7 +205,7 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
 
 
 def run_calibration(grid: SimulationGrid, c_grid=None, folds: int = 10,
-                    max_degree: int = 6, max_workers: int = 1) -> CalibrationCurve:
+                    max_degree: int = 6, max_workers: int | None = None) -> CalibrationCurve:
     """Evaluate the discrepancy curve, smooth it, and locate the optimum."""
     cs = default_c_grid() if c_grid is None else c_grid
     points = evaluate_x2_curve(cs, grid, max_workers=max_workers)
@@ -223,13 +223,14 @@ def run_calibration(grid: SimulationGrid, c_grid=None, folds: int = 10,
 
 
 def convergence_study(sizes, c_grid=None, replicates: int = DEFAULT_REPLICATES,
-                      seed: int = DEFAULT_SEED, folds: int = 10,
-                      max_degree: int = 6, max_workers: int = 1) -> list[CalibrationCurve]:
+                      seed: int = DEFAULT_SEED, folds: int = 10, max_degree: int = 6,
+                      max_workers: int | None = None) -> list[CalibrationCurve]:
     """One calibration per (K_max, nu_max) size, for trend inspection.
 
-    At the default replicate count and one worker, (20, 20) takes a few
-    seconds and (40, 40) under twenty; the optimum grows slowly and flattens
-    as the ranges widen, so the small sizes already show the trend.
+    At the default replicate count and worker count on two CPUs, (20, 20)
+    takes about a second and a half and (40, 40) about seven seconds, twice
+    that on one worker; the optimum grows slowly and flattens as the ranges
+    widen, so the small sizes already show the trend.
     """
     sizes = list(sizes)
     if not sizes:

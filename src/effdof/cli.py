@@ -321,6 +321,12 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
                         help="output encoding (default markdown)")
 
 
+def _add_threads(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--threads", type=_at_least(1), default=None,
+                        help="at most this many worker threads (default every "
+                             "available CPU); results do not depend on it")
+
+
 def _add_adjustment(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--constant", type=float, default=RECOMMENDED_C,
                         help=f"correction constant C (default {RECOMMENDED_C})")
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "4 adjusted c=2.69, x2 pseudo chi-square summary")
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
-    p_rep.add_argument("--threads", type=_at_least(1), default=1)
+    _add_threads(p_rep)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
                             "for x2 the published summary comes from another, "
@@ -368,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--folds", type=_at_least(2), default=10)
     p_cal.add_argument("--max-degree", type=_at_least(1), default=6)
     p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_cal.add_argument("--threads", type=_at_least(1), default=1)
+    _add_threads(p_cal)
     p_cal.add_argument("--curve-out", default=None,
                        help="optional path for the sampled (C, X2) curve CSV")
     p_cal.set_defaults(handler=_cmd_calibrate)

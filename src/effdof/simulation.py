@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -266,18 +267,36 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     return sum(float(part.sum()) for part in _ratio_chunks_k2_nu1(replicates, rng)) / replicates
 
 
+def _pool_size(max_workers: int | None, cells: int) -> int:
+    """Worker threads for ``cells`` cells: ``min(requested, available CPUs, cells)``.
+
+    ``None`` requests every CPU this process may run on. A thread beyond the
+    CPUs or the cells would only wait, so neither bound is ever exceeded.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    requested = cpus if max_workers is None else int(max_workers)
+    if requested < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    return min(requested, cpus, cells)
+
+
 def generate_tables(grid: SimulationGrid, methods,
-                    max_workers: int = 1) -> list[MeanDfTable]:
+                    max_workers: int | None = None) -> list[MeanDfTable]:
     """One table per method, all from a single draw pass over ``grid``.
 
     Every cell is drawn once, from its own substream; each method's cell is
     the same Satterthwaite ratio mean and standard error times that method's
     factor, so the tables are perfectly correlated. This is the one place
-    cells are scheduled: serially, or in a thread pool when
-    ``max_workers > 1``. The result does not depend on scheduling or worker
-    count.
+    cells are scheduled: on at most ``max_workers`` threads, every available
+    CPU by default, and never more threads than CPUs or cells; a pool of one
+    runs the cells inline. The result does not depend on scheduling or
+    worker count.
     """
     methods, pairs = list(methods), grid.cells()
+    workers = _pool_size(max_workers, len(pairs))
     if grid.replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {grid.replicates}")
     # Every factor first: a method that cannot run on the grid fails before any draw.
@@ -287,8 +306,8 @@ def generate_tables(grid: SimulationGrid, methods,
         k, nu = pair
         return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG))
 
-    if max_workers and int(max_workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(max_workers)) as pool:
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             stats = list(pool.map(one_cell, pairs))
     else:
         stats = [one_cell(pair) for pair in pairs]
@@ -299,7 +318,7 @@ def generate_tables(grid: SimulationGrid, methods,
 
 
 def generate_table(grid: SimulationGrid, method: EstimatorVariant,
-                   max_workers: int = 1) -> MeanDfTable:
+                   max_workers: int | None = None) -> MeanDfTable:
     """Mean estimated d.f. per grid cell, bit-reproducible for a fixed seed.
 
     The one-method case of ``generate_tables``.

@@ -287,12 +287,15 @@ class TestReproduceCommand:
                                  for nu in REFERENCE_NU_VALUES]
 
     def test_thread_flag_reproducible(self, capsys):
-        args = ["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",
-                "--format", "csv"]
-        main(args + ["--threads", "1"])
-        serial = capsys.readouterr().out
-        main(args + ["--threads", "4"])
-        assert capsys.readouterr().out == serial
+        """The default (every available CPU) and any --threads print the serial bytes."""
+        for args in (["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",
+                      "--format", "csv"],
+                     ["reproduce", "--table", "x2", "--replicates", "40"]):
+            main(args + ["--threads", "1"])
+            serial = capsys.readouterr().out
+            for extra in ([], ["--threads", "4"]):
+                main(args + extra)
+                assert capsys.readouterr().out == serial
 
 
 class TestCalibrateCommand:

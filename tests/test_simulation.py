@@ -1,6 +1,7 @@
 """Tests for the chi-square Monte Carlo machinery."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -266,6 +267,62 @@ class TestGenerateTable:
             assert cell.mean <= cell.expected + 3.0 * cell.std_error
             deficits.append((cell.expected - cell.mean) / cell.expected)
         assert deficits[0] > deficits[1] > deficits[2]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Sizes of the thread pools ``simulation`` opens, each replaced by one that runs inline."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", InlinePool)
+    return sizes
+
+
+class TestPoolSize:
+    GRID = SimulationGrid((2, 3, 4), (1, 2, 3), replicates=2, seed=3)
+
+    @pytest.mark.parametrize("cpus, expected", [(64, 9), (3, 3)])
+    def test_pool_no_larger_than_cells_or_cpus(self, monkeypatch, pool_sizes, cpus, expected):
+        serial = generate_table(self.GRID, EstimatorVariant.satterthwaite(), max_workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        table = generate_table(self.GRID, EstimatorVariant.satterthwaite(), max_workers=10**6)
+        assert pool_sizes == [expected]
+        assert table.cells == serial.cells
+
+    @pytest.mark.parametrize("workers", [None, 10**6], ids=["default", "million"])
+    def test_pool_within_real_cpus(self, pool_sizes, workers):
+        generate_table(self.GRID, EstimatorVariant.satterthwaite(), max_workers=workers)
+        assert len(pool_sizes) <= 1
+        assert all(1 < size <= min(9, os.cpu_count() or 1) for size in pool_sizes)
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch, pool_sizes):
+        serial = generate_table(self.GRID, EstimatorVariant.satterthwaite(), max_workers=1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simulation._pool_size(None, 9) == 1
+        table = generate_table(self.GRID, EstimatorVariant.satterthwaite())
+        assert pool_sizes == []
+        assert table.cells == serial.cells
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, pool_sizes, workers):
+        with pytest.raises(ValueError, match="max_workers"):
+            generate_tables(self.GRID, [EstimatorVariant.satterthwaite()], max_workers=workers)
+        assert pool_sizes == []
 
 
 class TestPseudoX2:
