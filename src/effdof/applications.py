@@ -25,7 +25,6 @@ __all__ = [
     "JackknifeDeviations",
     "RubinVariance",
     "WelchInput",
-    "brr_df",
     "jackknife_components",
     "jackknife_df",
     "rubin_components",
@@ -96,32 +95,30 @@ class WelchInput:
     """Two-sample inputs for the unequal-variance (Welch) pooled d.f.
 
     The pooled variance weights each sample variance by 1 / N_k. Component
-    d.f. may be passed explicitly but can never exceed N_k - 1.
+    d.f. default to N_k - 1; they may be passed explicitly but can never
+    exceed it.
     """
 
     s2_1: float
     s2_2: float
     n1: int
     n2: int
-    df1: int
-    df2: int
+    df1: int | None = None
+    df2: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s2_1", _require_nonneg(self.s2_1, "s2_1"))
         object.__setattr__(self, "s2_2", _require_nonneg(self.s2_2, "s2_2"))
         object.__setattr__(self, "n1", _require_int(self.n1, "n1", 2))
         object.__setattr__(self, "n2", _require_int(self.n2, "n2", 2))
-        object.__setattr__(self, "df1", _require_int(self.df1, "df1", 1))
-        object.__setattr__(self, "df2", _require_int(self.df2, "df2", 1))
+        df1 = self.n1 - 1 if self.df1 is None else self.df1
+        df2 = self.n2 - 1 if self.df2 is None else self.df2
+        object.__setattr__(self, "df1", _require_int(df1, "df1", 1))
+        object.__setattr__(self, "df2", _require_int(df2, "df2", 1))
         if self.df1 > self.n1 - 1:
             raise SynthesisError(f"df1 must be <= n1 - 1 = {self.n1 - 1}, got {self.df1}")
         if self.df2 > self.n2 - 1:
             raise SynthesisError(f"df2 must be <= n2 - 1 = {self.n2 - 1}, got {self.df2}")
-
-    @classmethod
-    def from_samples(cls, s2_1: float, n1: int, s2_2: float, n2: int) -> "WelchInput":
-        """Convenience constructor with df_k = N_k - 1."""
-        return cls(s2_1, s2_2, n1, n2, int(n1) - 1, int(n2) - 1)
 
 
 def welch_components(inputs: WelchInput) -> list[VarianceComponent]:
@@ -172,18 +169,8 @@ def jackknife_df(inputs: JackknifeDeviations) -> DfEstimate:
 
     With df = 1 everywhere the denominator terms are d^4 / 3, so this equals
     3 / (1 + C / K) times the classic ratio of the squared deviations.
+    Balanced repeated replication has no adapter. Its half-sample estimates
+    are combinations of the same cluster means, so their squared deviations
+    are correlated and the independence these estimators assume fails.
     """
     return adjusted_df(jackknife_components(inputs), AdjustmentConfig(inputs.constant, 0))
-
-
-def brr_df(*_args, **_kwargs) -> DfEstimate:
-    """Balanced repeated replication is not supported.
-
-    BRR half-sample estimates are linear combinations of the same cluster
-    means, so their squared deviations are correlated and the independence
-    assumption behind these estimators does not hold. Compute jackknife
-    pseudo-values instead and use jackknife_df.
-    """
-    raise SynthesisError(
-        "BRR components are correlated; compute jackknife deviations and use jackknife_df"
-    )

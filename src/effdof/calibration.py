@@ -32,13 +32,12 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .estimators import EstimatorVariant
-from .simulation import DEFAULT_REPLICATES, DEFAULT_SEED, SimulationGrid, generate_table
+from .simulation import SimulationGrid, generate_table
 
 __all__ = [
     "CalibrationCurve",
     "CalibrationError",
     "PolynomialFit",
-    "convergence_study",
     "default_c_grid",
     "evaluate_x2_curve",
     "find_c_opt",
@@ -76,6 +75,8 @@ class CalibrationCurve:
 def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) -> list[float]:
     """Evenly spaced constants covering the search interval."""
     start, stop, step = float(start), float(stop), float(step)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise CalibrationError(f"C grid bounds and step must be finite: {start}, {stop}, {step}")
     if step <= 0.0:
         raise CalibrationError(f"step must be > 0, got {step}")
     if start >= stop or step > (stop - start):
@@ -220,45 +221,3 @@ def run_calibration(grid: SimulationGrid, c_grid=None, folds: int = 10,
         c_opt=c_opt,
         x2_min=x2_min,
     )
-
-
-def convergence_study(sizes, c_grid=None, replicates: int = DEFAULT_REPLICATES,
-                      seed: int = DEFAULT_SEED, folds: int = 10, max_degree: int = 6,
-                      max_workers: int | None = None) -> list[CalibrationCurve]:
-    """One calibration per (K_max, nu_max) size, for trend inspection.
-
-    At the default replicate count and worker count on two CPUs, (20, 20)
-    takes about a second and a half and (40, 40) about seven seconds, twice
-    that on one worker; the optimum grows slowly and flattens as the ranges
-    widen, so the small sizes already show the trend.
-    """
-    sizes = list(sizes)
-    if not sizes:
-        raise CalibrationError("no study sizes given")
-    curves = []
-    for k_max, nu_max in sizes:
-        grid = SimulationGrid(tuple(range(2, int(k_max) + 1)),
-                              tuple(range(1, int(nu_max) + 1)),
-                              replicates=replicates, seed=seed)
-        curves.append(run_calibration(grid, c_grid, folds=folds,
-                                      max_degree=max_degree, max_workers=max_workers))
-    return curves
-
-
-def curve_rows(curve: CalibrationCurve) -> list[tuple[str, str]]:
-    """CSV-ready rows of the sampled curve, header included."""
-    rows = [("C", "X2")]
-    for c, x2 in zip(curve.c_points, curve.x2_points):
-        rows.append((repr(c), repr(x2)))
-    return rows
-
-
-def study_summary(size: tuple[int, int], curve: CalibrationCurve) -> dict:
-    """JSON-ready summary of one calibration run."""
-    return {
-        "size": [int(size[0]), int(size[1])],
-        "degree": curve.fitted_degree,
-        "r_squared": curve.r_squared,
-        "c_opt": curve.c_opt,
-        "x2_min": curve.x2_min,
-    }

@@ -32,13 +32,7 @@ from .applications import (
     rubin_components,
     welch_components,
 )
-from .calibration import (
-    CalibrationError,
-    curve_rows,
-    default_c_grid,
-    run_calibration,
-    study_summary,
-)
+from .calibration import CalibrationError, default_c_grid, run_calibration
 from .estimators import RECOMMENDED_C, EstimatorVariant, SynthesisError, VarianceComponent
 from .reference import (
     REFERENCE_K_VALUES,
@@ -258,8 +252,10 @@ def _cmd_calibrate(args) -> int:
                             max_workers=args.threads)
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows(curve_rows(curve))
-    print(json.dumps(study_summary((args.kmax, args.numax), curve), indent=2))
+            csv.writer(handle).writerows([("C", "X2"), *zip(curve.c_points, curve.x2_points)])
+    print(json.dumps({"size": [args.kmax, args.numax], "degree": curve.fitted_degree,
+                      "r_squared": curve.r_squared, "c_opt": curve.c_opt,
+                      "x2_min": curve.x2_min}, indent=2))
     return EXIT_OK
 
 
@@ -280,9 +276,8 @@ def _cmd_density(args) -> int:
 _ADAPTERS = {
     "rubin": lambda a: rubin_components(
         RubinVariance(a.sampling_s2, a.sampling_df, a.imputation_s2, a.m)),
-    "welch": lambda a: welch_components(WelchInput(
-        a.s2_1, a.s2_2, a.n1, a.n2,
-        a.n1 - 1 if a.df1 is None else a.df1, a.n2 - 1 if a.df2 is None else a.df2)),
+    "welch": lambda a: welch_components(
+        WelchInput(a.s2_1, a.s2_2, a.n1, a.n2, a.df1, a.df2)),
     "jackknife": lambda a: jackknife_components(
         JackknifeDeviations(tuple(a.deviations), a.constant)),
 }

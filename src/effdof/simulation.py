@@ -1,11 +1,10 @@
 """Monte Carlo study of the effective-d.f. estimators on chi-square components.
 
 Each study cell fixes a component count K and a per-component d.f. nu, draws
-K independent chi-square(nu) variates per replicate (unit weights unless
-stated otherwise), evaluates the chosen estimator, and records the sample
-mean together with its standard error. The reference value for a cell is
-``K * nu``, the effective d.f. of the synthesis when the population variances
-are known.
+K independent chi-square(nu) variates per replicate, evaluates the chosen
+estimator, and records the sample mean together with its standard error.
+The reference value for a cell is ``K * nu``, the effective d.f. of the
+synthesis when the population variances are known.
 
 When every component has the same d.f. nu, every estimator of the family is
 Satterthwaite's ratio ``(sum s)^2 / sum s^2`` times a constant of (K, nu):
@@ -98,8 +97,8 @@ class SimulationGrid:
             raise ValueError(f"component counts must be >= 2, got {ks[0]}")
         if nus[0] < 1:
             raise ValueError(f"component d.f. must be >= 1, got {nus[0]}")
-        if int(self.replicates) < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if int(self.replicates) < 2:
+            raise ValueError(f"replicates must be >= 2, got {self.replicates}")
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
         object.__setattr__(self, "replicates", int(self.replicates))
@@ -169,15 +168,13 @@ def _row_sums(s: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
-                weights=None) -> tuple[float, float]:
+def _ratio_stat(k: int, nu: int, replicates: int,
+                rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of Satterthwaite's ratio over ``replicates`` draws."""
     ratios = np.empty(replicates)
     chunk = max(1, _CHUNK_SCALARS // k)
     for done in range(0, replicates, chunk):
         s = sample_chi2_matrix(rng, min(chunk, replicates - done), k, nu)
-        if weights is not None:
-            s *= weights
         # The row sums are taken before s is squared in place.
         total = _row_sums(s)
         np.square(total, out=total)
@@ -186,14 +183,11 @@ def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
 
 
 def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
-                     rng: np.random.Generator, weights=None) -> CellStat:
+                     rng: np.random.Generator) -> CellStat:
     """Sample mean and standard error of one estimator at a (K, nu) cell.
 
     Draws K independent chi-square(nu) components per replicate and evaluates
-    the estimator on them. ``weights`` defaults to unit weights, which is the
-    configuration of the reference tables; a weight vector of length K is
-    accepted for exploratory runs, in which case ``expected`` is the
-    population-value effective d.f. ``nu * sum(w)^2 / sum(w^2)``.
+    the estimator on them with unit weights, as in the reference tables.
     """
     k, nu, replicates = int(k), int(nu), int(replicates)
     if k < 1:
@@ -202,20 +196,9 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
         raise ValueError(f"nu must be >= 1, got {nu}")
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (k,):
-            raise ValueError(f"weights must have shape ({k},), got {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("weights must be finite and > 0")
-    if w is None:
-        expected = float(k * nu)
-    else:
-        expected = float(nu * w.sum() ** 2 / np.square(w).sum())
     factor = _factor(method, k, nu)
-    mean, std_error = _ratio_stat(k, nu, replicates, rng, w)
-    return CellStat(mean * factor, std_error * factor, expected)
+    mean, std_error = _ratio_stat(k, nu, replicates, rng)
+    return CellStat(mean * factor, std_error * factor, float(k * nu))
 
 
 def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
@@ -297,8 +280,6 @@ def generate_tables(grid: SimulationGrid, methods,
     """
     methods, pairs = list(methods), grid.cells()
     workers = _pool_size(max_workers, len(pairs))
-    if grid.replicates < 2:
-        raise ValueError(f"replicates must be >= 2, got {grid.replicates}")
     # Every factor first: a method that cannot run on the grid fails before any draw.
     factors = [[_factor(method, k, nu) for k, nu in pairs] for method in methods]
 

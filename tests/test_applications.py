@@ -11,7 +11,6 @@ from effdof import (
     SynthesisError,
     WelchInput,
     adjusted_df,
-    brr_df,
     jackknife_components,
     jackknife_df,
     rubin_components,
@@ -100,8 +99,8 @@ class TestWelch:
         with pytest.raises(SynthesisError, match="df1"):
             WelchInput(1.0, 1.0, 10, 10, 10, 9)
 
-    def test_from_samples_uses_n_minus_one(self):
-        inputs = WelchInput.from_samples(2.5, 12, 4.0, 30)
+    def test_df_defaults_to_n_minus_one(self):
+        inputs = WelchInput(2.5, 4.0, 12, 30)
         assert (inputs.df1, inputs.df2) == (11, 29)
 
     def test_both_variances_zero(self):
@@ -143,12 +142,6 @@ class TestJackknife:
     def test_components_have_unit_weight_single_df(self):
         for comp in jackknife_components(JackknifeDeviations((0.3, -0.7))):
             assert comp.weight == 1.0 and comp.df == 1
-
-
-class TestBrr:
-    def test_rejected_with_guidance(self):
-        with pytest.raises(SynthesisError, match="jackknife"):
-            brr_df([0.1, 0.2])
 
 
 class TestAdaptersDelegateExactly:

@@ -8,7 +8,6 @@ from effdof import (
     CalibrationError,
     EstimatorVariant,
     SimulationGrid,
-    convergence_study,
     default_c_grid,
     evaluate_x2_curve,
     find_c_opt,
@@ -17,7 +16,6 @@ from effdof import (
     pseudo_x2,
     run_calibration,
 )
-from effdof.calibration import curve_rows, study_summary
 
 
 class TestDefaultCGrid:
@@ -36,6 +34,16 @@ class TestDefaultCGrid:
     def test_nonpositive_step_rejected(self):
         with pytest.raises(CalibrationError):
             default_c_grid(step=0.0)
+
+    @pytest.mark.parametrize("start, stop, step", [
+        (2.0, float("inf"), 0.1),
+        (float("-inf"), 3.0, 0.1),
+        (float("nan"), 3.0, 0.1),
+        (2.0, 3.0, float("nan")),
+    ])
+    def test_nonfinite_bounds_rejected(self, start, stop, step):
+        with pytest.raises(CalibrationError, match="finite"):
+            default_c_grid(start, stop, step)
 
 
 class TestFitPolynomialCv:
@@ -208,27 +216,3 @@ class TestRunCalibration:
                                   replicates=10_000, seed=seed)
             results.append(run_calibration(grid).c_opt)
         assert abs(results[0] - results[1]) < 0.06
-
-    def test_serialization_helpers(self):
-        grid = SimulationGrid((2, 3), (1, 2), replicates=500, seed=6)
-        curve = run_calibration(grid, [2.2, 2.4, 2.6, 2.8, 3.0, 2.3, 2.5, 2.7, 2.9, 3.1])
-        rows = curve_rows(curve)
-        assert rows[0] == ("C", "X2")
-        assert len(rows) == len(curve.c_points) + 1
-        summary = study_summary((3, 2), curve)
-        assert summary["size"] == [3, 2]
-        assert set(summary) == {"size", "degree", "r_squared", "c_opt", "x2_min"}
-
-
-class TestConvergenceStudy:
-    def test_single_size_delegates(self):
-        curves = convergence_study([(3, 3)], replicates=800, seed=3)
-        assert len(curves) == 1
-
-    def test_trend_over_growing_sizes(self):
-        curves = convergence_study([(3, 3), (5, 5)], replicates=4000, seed=3)
-        assert curves[0].c_opt <= curves[1].c_opt + 0.03
-
-    def test_empty_sizes_rejected(self):
-        with pytest.raises(CalibrationError):
-            convergence_study([])

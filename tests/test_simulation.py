@@ -17,6 +17,7 @@ from effdof import (
     ratio_mean_k2_nu1,
     ratio_samples_k2_nu1,
     sample_chi2,
+    satterthwaite_df,
     simulate_mean_df,
     substream,
 )
@@ -120,13 +121,12 @@ class TestChunkedKernels:
         for m in (s, np.square(s)):
             assert _row_sums(m).tobytes() == m.sum(axis=1).tobytes()
 
-    @pytest.mark.parametrize("k, nu", [(2, 1), (5, 3), (9, 2), (40, 7)])
-    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "weighted"])
-    def test_cell_stat_does_not_depend_on_chunk_size(self, k, nu, weighted, monkeypatch):
-        weights = np.linspace(0.5, 2.0, k) if weighted else None
-        whole = _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"), weights)
+    @pytest.mark.parametrize("k, nu", [(2, 1), (5, 3), (9, 2), (40, 7)],
+                             ids=["unit-2-1", "unit-5-3", "unit-9-2", "unit-40-7"])
+    def test_cell_stat_does_not_depend_on_chunk_size(self, k, nu, monkeypatch):
+        whole = _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"))
         monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 37)
-        assert _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"), weights) == whole
+        assert _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks")) == whole
 
     def test_ratio_samples_do_not_depend_on_chunk_size(self, monkeypatch):
         whole = ratio_samples_k2_nu1(1000, substream(4, 2, 1, "chunks"))
@@ -144,42 +144,43 @@ class TestChunkedKernels:
 
 class TestSimulateMeanDf:
     def test_matches_scalar_estimators_on_same_draws(self):
-        """The vectorized cell evaluation is the scalar estimator per row.
-
-        The cell scales Satterthwaite's ratio by a factor of (K, nu) alone;
-        the weighted runs check that this holds for non-unit weights too.
-        """
+        """The vectorized cell evaluation is the scalar estimator per row."""
         k, nu, reps = 3, 2, 400
-        variants = (EstimatorVariant.satterthwaite(),
-                    EstimatorVariant.recommended(),
-                    EstimatorVariant.von_davier_2025(),
-                    EstimatorVariant.adjusted(0.0, 0),
-                    EstimatorVariant.adjusted(2.69, 0))
-        for weights in (None, np.array([0.5, 1.0, 2.5])):
-            unit = np.ones(k) if weights is None else weights
-            for variant in variants:
-                cell = simulate_mean_df(k, nu, variant, reps,
-                                        substream(5, k, nu, variant.tag), weights=weights)
-                draws = sample_chi2_matrix(substream(5, k, nu, variant.tag), reps, k, nu)
-                values = []
-                for row in draws:
-                    components = [VarianceComponent(float(w), float(s2), nu)
-                                  for w, s2 in zip(unit, row)]
-                    values.append(variant.evaluate(components).value)
-                assert cell.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
-                assert cell.std_error == pytest.approx(
-                    float(np.std(values, ddof=1)) / math.sqrt(reps), rel=1e-10)
+        for variant in (EstimatorVariant.satterthwaite(),
+                        EstimatorVariant.recommended(),
+                        EstimatorVariant.von_davier_2025(),
+                        EstimatorVariant.adjusted(0.0, 0),
+                        EstimatorVariant.adjusted(2.69, 0)):
+            cell = simulate_mean_df(k, nu, variant, reps, substream(5, k, nu, variant.tag))
+            draws = sample_chi2_matrix(substream(5, k, nu, variant.tag), reps, k, nu)
+            values = [variant.evaluate([VarianceComponent(1.0, float(s2), nu)
+                                        for s2 in row]).value for row in draws]
+            assert cell.mean == pytest.approx(float(np.mean(values)), rel=1e-12)
+            assert cell.std_error == pytest.approx(
+                float(np.std(values, ddof=1)) / math.sqrt(reps), rel=1e-10)
+
+    def test_factor_identity_holds_for_any_weights(self):
+        """Every variant is Satterthwaite's ratio times the cell factor, whatever the weights.
+
+        ``_factor`` scales the bare ratio (sum s)^2 / sum s^2, which is
+        Satterthwaite's d.f. divided by nu.
+        """
+        k, nu = 3, 2
+        weights = (0.5, 1.0, 2.5)
+        for row in sample_chi2_matrix(substream(5, k, nu, "weights"), 50, k, nu):
+            components = [VarianceComponent(w, float(s2), nu) for w, s2 in zip(weights, row)]
+            ratio = satterthwaite_df(components).value / nu
+            for variant in (EstimatorVariant.recommended(),
+                            EstimatorVariant.von_davier_2025(),
+                            EstimatorVariant.adjusted(0.0, 0),
+                            EstimatorVariant.adjusted(2.69, 0)):
+                assert variant.evaluate(components).value == pytest.approx(
+                    ratio * simulation._factor(variant, k, nu), rel=1e-12)
 
     def test_expected_value_field(self):
         cell = simulate_mean_df(4, 3, EstimatorVariant.satterthwaite(), 10,
                                 np.random.default_rng(0))
         assert cell.expected == 12.0
-
-    def test_weighted_expected_value(self):
-        w = np.array([1.0, 2.0, 3.0])
-        cell = simulate_mean_df(3, 5, EstimatorVariant.recommended(), 10,
-                                np.random.default_rng(0), weights=w)
-        assert cell.expected == pytest.approx(5.0 * w.sum() ** 2 / (w ** 2).sum())
 
     def test_small_cell_means(self):
         cell = simulate_mean_df(2, 1, EstimatorVariant.satterthwaite(), 20_000,
@@ -198,9 +199,6 @@ class TestSimulateMeanDf:
         with pytest.raises(ValueError):
             simulate_mean_df(2, 1, EstimatorVariant.satterthwaite(), 1,
                              np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            simulate_mean_df(2, 1, EstimatorVariant.satterthwaite(), 10,
-                             np.random.default_rng(0), weights=np.array([1.0]))
 
 
 class TestSimulationGrid:
@@ -215,6 +213,7 @@ class TestSimulationGrid:
         {"k_values": (1, 2), "nu_values": (1,)},
         {"k_values": (2,), "nu_values": (0,)},
         {"k_values": (2,), "nu_values": (1,), "replicates": 0},
+        {"k_values": (2,), "nu_values": (1,), "replicates": 1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
