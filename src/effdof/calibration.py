@@ -144,29 +144,34 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     fold_ids = np.empty(n, dtype=int)
     fold_ids[order] = np.arange(n) % int(folds)
 
-    cv_rmse = []
-    for degree in range(1, int(max_degree) + 1):
-        errs = []
-        for f in range(int(folds)):
-            train = fold_ids != f
-            if int(train.sum()) < degree + 1:
-                errs = None
-                break
-            fit = Polynomial.fit(xs[train], ys[train], deg=degree)
-            resid = fit(xs[~train]) - ys[~train]
-            errs.append(math.sqrt(float(np.mean(resid ** 2))))
-        cv_rmse.append(math.inf if errs is None else float(np.mean(errs)))
+    try:
+        cv_rmse = []
+        for degree in range(1, int(max_degree) + 1):
+            errs = []
+            for f in range(int(folds)):
+                train = fold_ids != f
+                if int(train.sum()) < degree + 1:
+                    errs = None
+                    break
+                fit = Polynomial.fit(xs[train], ys[train], deg=degree)
+                resid = fit(xs[~train]) - ys[~train]
+                errs.append(math.sqrt(float(np.mean(resid ** 2))))
+            cv_rmse.append(math.inf if errs is None else float(np.mean(errs)))
 
-    best = min(cv_rmse)
-    if not math.isfinite(best):
-        raise CalibrationError("no degree is estimable with the given folds")
-    degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
+        best = min(cv_rmse)
+        if not math.isfinite(best):
+            raise CalibrationError("no degree is estimable with the given folds")
+        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
 
-    final, diagnostics = Polynomial.fit(xs, ys, deg=degree, full=True)
+        final, diagnostics = Polynomial.fit(xs, ys, deg=degree, full=True)
+    except np.linalg.LinAlgError as exc:
+        raise CalibrationError(f"polynomial fit failed: {exc}") from None
     rank = int(diagnostics[1])
     if rank < degree + 1:
         raise CalibrationError(f"rank-deficient design at degree {degree}")
     coefficients = tuple(float(c) for c in final.convert().coef)
+    if not all(map(math.isfinite, coefficients)):
+        raise CalibrationError(f"polynomial fit has non-finite coefficients {coefficients}")
     pred = Polynomial(coefficients)(xs)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     sse = float(np.sum((ys - pred) ** 2))
@@ -179,11 +184,14 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
 
     Dense evaluation at step <= 1e-4 plus the real critical points of the
     polynomial; exact ties resolve to the smaller abscissa. The returned
-    value is never larger than the polynomial at any dense-grid point.
+    value is never larger than the polynomial at any dense-grid point. An
+    interval wider than 1000 (over 10^7 + 1 dense points) is an error.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise CalibrationError(f"invalid interval ({lo}, {hi})")
+    if not hi - lo <= 1000.0:  # 10^7 dense steps of 1e-4
+        raise CalibrationError(f"interval ({lo}, {hi}) wider than 1000: too many dense points")
     coefs = [float(c) for c in coefficients]
     if len(coefs) < 2:
         raise CalibrationError("polynomial degree must be >= 1")

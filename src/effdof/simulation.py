@@ -16,7 +16,9 @@ by the factor the estimator itself returns for K identical components.
 Chi-square variates come from ``Generator.chisquare``, numpy's gamma sampler
 (Marsaglia & Tsang 2000, ACM TOMS 26(3)), whose cost does not grow with nu.
 The two-component single-d.f. ratio stays on squared standard normals, which
-are cheaper than the gamma sampler at one d.f.
+are cheaper than the gamma sampler at one d.f. It runs on every CPU in blocks
+of ``_RATIO_BLOCK`` draws, block 0 from the caller's generator and block i >= 1
+from the (i-1)-th child it spawns, so no thread count changes a draw.
 
 Every table cell draws from its own random substream, derived
 deterministically from ``(seed, K, nu)`` and one fixed tag shared by every
@@ -68,6 +70,8 @@ _MASK64 = (1 << 64) - 1
 _CHUNK_SCALARS = 1 << 17
 # Rows per chunk of the two-component single-d.f. ratio (2^16 normals, 512 KB).
 _RATIO_CHUNK_ROWS = 1 << 15
+# Draws per block of that ratio; each block has its own generator.
+_RATIO_BLOCK = 1 << 18
 # Substream tag of every table and calibration cell, whatever the variant.
 _CRN_TAG = "crn"
 
@@ -220,20 +224,32 @@ def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
         yield np.clip(ratio, 1.0, 2.0, out=ratio)
 
 
+def _ratio_blocks_k2_nu1(replicates: int, rng: np.random.Generator, consume) -> list:
+    """``consume(first draw, chunks)`` of each block, in block order; spawns past one block."""
+    starts = range(0, replicates, _RATIO_BLOCK)
+    rngs = [rng, *rng.spawn(len(starts) - 1)] if len(starts) > 1 else [rng]
+    return _map(lambda i: consume(starts[i], _ratio_chunks_k2_nu1(
+        min(_RATIO_BLOCK, replicates - starts[i]), rngs[i])), range(len(starts)))
+
+
 def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Raw draws of the two-component single-d.f. ratio (Z1^2+Z2^2)^2 / (Z1^4+Z2^4).
 
     The ratio lies in [1, 2] for every pair of reals; the clip only removes
-    floating-point excursions at the equal-components boundary.
+    floating-point excursions at the equal-components boundary. The draws
+    are the same for any thread count (see the module docstring).
     """
     replicates = int(replicates)
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     out = np.empty(replicates)
-    done = 0
-    for part in _ratio_chunks_k2_nu1(replicates, rng):
-        out[done:done + len(part)] = part
-        done += len(part)
+
+    def fill(start: int, chunks) -> None:
+        for part in chunks:
+            out[start:start + len(part)] = part
+            start += len(part)
+
+    _ratio_blocks_k2_nu1(replicates, rng, fill)
     return out
 
 
@@ -241,13 +257,15 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     """Monte Carlo mean of the two-component single-d.f. ratio.
 
     Converges to sqrt(2): in polar coordinates the radius cancels and the
-    angular average of the ratio is exactly 2^(1/2). The draws are summed
-    chunk by chunk, so memory does not grow with ``replicates``.
+    angular average of the ratio is exactly 2^(1/2). The draws of
+    ``ratio_samples_k2_nu1`` are summed chunk by chunk, then block by block in
+    block order, so memory does not grow with ``replicates``.
     """
     replicates = int(replicates)
     if replicates < 2:
         raise ValueError(f"replicates must be >= 2, got {replicates}")
-    return sum(float(part.sum()) for part in _ratio_chunks_k2_nu1(replicates, rng)) / replicates
+    return sum(_ratio_blocks_k2_nu1(replicates, rng, lambda _, chunks: sum(
+        float(part.sum()) for part in chunks))) / replicates
 
 
 def _pool_size(max_workers: int | None, cells: int) -> int:
@@ -266,6 +284,15 @@ def _pool_size(max_workers: int | None, cells: int) -> int:
     return min(requested, cpus, cells)
 
 
+def _map(fn, items, max_workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` on ``_pool_size`` threads, inline for one."""
+    workers = _pool_size(max_workers, len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 def generate_tables(grid: SimulationGrid, methods,
                     max_workers: int | None = None) -> list[MeanDfTable]:
     """One table per method, all from a single draw pass over ``grid``.
@@ -279,7 +306,6 @@ def generate_tables(grid: SimulationGrid, methods,
     worker count.
     """
     methods, pairs = list(methods), grid.cells()
-    workers = _pool_size(max_workers, len(pairs))
     # Every factor first: a method that cannot run on the grid fails before any draw.
     factors = [[_factor(method, k, nu) for k, nu in pairs] for method in methods]
 
@@ -287,11 +313,7 @@ def generate_tables(grid: SimulationGrid, methods,
         k, nu = pair
         return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(one_cell, pairs))
-    else:
-        stats = [one_cell(pair) for pair in pairs]
+    stats = _map(one_cell, pairs, max_workers)
     return [MeanDfTable(grid, method, {
         (k, nu): CellStat(mean * f, std_error * f, float(k * nu))
         for (k, nu), (mean, std_error), f in zip(pairs, stats, fs)})

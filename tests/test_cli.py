@@ -338,6 +338,18 @@ class TestCalibrateCommand:
         assert 1.5 <= summary["c_opt"] <= 1.9
 
 
+@pytest.mark.parametrize("bounds", [
+    ["--cmin", "0", "--cmax", "1e300", "--step", "1e299"],
+    ["--cmin", "1e-320", "--cmax", "2e-320", "--step", "1e-321"],
+    ["--cmin", "5e307", "--cmax", "1.7e308", "--step", "1e307"],
+], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double"])
+def test_extreme_c_interval_exits_3(bounds, capsys):
+    assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
+                 *bounds]) == 3
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self):
         assert main([]) == 2

@@ -51,6 +51,9 @@ CASES = {
     # 70000 pairs: two full 2^15-row chunks and a partial third.
     "density-raw-70000": ["density", "--raw", "--replicates", "70000", "--seed", "3"],
     "density-histogram": ["density", "--replicates", "5000", "--bins", "20"],
+    # 600000 draws: two full 2^18-draw blocks, the second from a spawned
+    # generator, and a partial third.
+    "density-histogram-600000": ["density", "--replicates", "600000", "--bins", "20"],
 }
 
 

@@ -142,6 +142,64 @@ class TestChunkedKernels:
         assert mean == pytest.approx(float(samples.mean()), rel=1e-15, abs=0.0)
 
 
+class TestRatioBlocks:
+    """The ratio's fixed blocks: one generator each, the same draws for any pool."""
+
+    SIZE = 3_500  # three full blocks of 1000 draws and a partial fourth
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_RATIO_BLOCK", 1000)
+
+    @staticmethod
+    def rng():
+        return substream(5, 2, 1, "blocks")
+
+    def draws(self, monkeypatch, workers):
+        """Samples and mean on a real pool of ``workers`` threads."""
+        used = []
+
+        def pool_size(max_workers, cells):
+            used.append(min(workers, cells))
+            return used[-1]
+
+        monkeypatch.setattr(simulation, "_pool_size", pool_size)
+        samples = ratio_samples_k2_nu1(self.SIZE, self.rng())
+        mean = ratio_mean_k2_nu1(self.SIZE, self.rng())
+        assert used == [workers, workers]
+        return samples.tobytes(), mean
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_size_does_not_change_draws(self, monkeypatch, workers):
+        assert self.draws(monkeypatch, workers) == self.draws(monkeypatch, 1)
+
+    def test_block_layout(self):
+        """Block 0 draws from the caller's generator, block i from its (i-1)-th child."""
+        samples = ratio_samples_k2_nu1(self.SIZE, self.rng())
+        first = ratio_samples_k2_nu1(1000, self.rng())
+        rest = [ratio_samples_k2_nu1(n, child)
+                for n, child in zip((1000, 1000, 500), self.rng().spawn(3))]
+        assert samples.tobytes() == np.concatenate([first, *rest]).tobytes()
+
+    def test_repeated_calls_draw_new_blocks(self):
+        rng = self.rng()
+        first = ratio_samples_k2_nu1(self.SIZE, rng).reshape(-1, 500)
+        second = ratio_samples_k2_nu1(self.SIZE, rng).reshape(-1, 500)
+        assert not any(np.array_equal(a, b) for a in first for b in second)
+
+    def test_mean_is_the_mean_of_the_samples(self):
+        mean = ratio_mean_k2_nu1(self.SIZE, self.rng())
+        samples = ratio_samples_k2_nu1(self.SIZE, self.rng())
+        assert mean == pytest.approx(float(samples.mean()), rel=1e-15, abs=0.0)
+
+    def test_chunk_size_does_not_change_draws(self, monkeypatch):
+        whole = ratio_samples_k2_nu1(self.SIZE, self.rng())
+        mean = ratio_mean_k2_nu1(self.SIZE, self.rng())
+        monkeypatch.setattr(simulation, "_RATIO_CHUNK_ROWS", 7)
+        assert ratio_samples_k2_nu1(self.SIZE, self.rng()).tobytes() == whole.tobytes()
+        assert ratio_mean_k2_nu1(self.SIZE, self.rng()) == pytest.approx(mean, rel=1e-15, abs=0.0)
+
+
 class TestSimulateMeanDf:
     def test_matches_scalar_estimators_on_same_draws(self):
         """The vectorized cell evaluation is the scalar estimator per row."""
