@@ -8,8 +8,6 @@ callers can inspect or reuse them.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 from .estimators import (
@@ -18,6 +16,8 @@ from .estimators import (
     DfEstimate,
     SynthesisError,
     VarianceComponent,
+    _finite,
+    _integer,
     adjusted_df,
 )
 
@@ -36,24 +36,6 @@ __all__ = [
 _DEFAULT_CONFIG = AdjustmentConfig(RECOMMENDED_C, 0)
 
 
-def _require_int(value, name: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise SynthesisError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise SynthesisError(f"{name} must be >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _require_nonneg(value, name: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        raise SynthesisError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(x) or x < 0.0:
-        raise SynthesisError(f"{name} must be finite and >= 0, got {value!r}")
-    return x
-
-
 @dataclass(frozen=True)
 class RubinVariance:
     """Inputs of the multiple-imputation total variance.
@@ -70,11 +52,11 @@ class RubinVariance:
     m: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sampling_s2", _require_nonneg(self.sampling_s2, "sampling_s2"))
-        object.__setattr__(self, "sampling_df", _require_int(self.sampling_df, "sampling_df", 1))
+        object.__setattr__(self, "sampling_s2", _finite(self.sampling_s2, "sampling_s2", 0.0))
+        object.__setattr__(self, "sampling_df", _integer(self.sampling_df, "sampling_df", 1))
         object.__setattr__(self, "imputation_s2",
-                           _require_nonneg(self.imputation_s2, "imputation_s2"))
-        object.__setattr__(self, "m", _require_int(self.m, "m", 2))
+                           _finite(self.imputation_s2, "imputation_s2", 0.0))
+        object.__setattr__(self, "m", _integer(self.m, "m", 2))
 
 
 def rubin_components(inputs: RubinVariance) -> list[VarianceComponent]:
@@ -107,14 +89,14 @@ class WelchInput:
     df2: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s2_1", _require_nonneg(self.s2_1, "s2_1"))
-        object.__setattr__(self, "s2_2", _require_nonneg(self.s2_2, "s2_2"))
-        object.__setattr__(self, "n1", _require_int(self.n1, "n1", 2))
-        object.__setattr__(self, "n2", _require_int(self.n2, "n2", 2))
+        object.__setattr__(self, "s2_1", _finite(self.s2_1, "s2_1", 0.0))
+        object.__setattr__(self, "s2_2", _finite(self.s2_2, "s2_2", 0.0))
+        object.__setattr__(self, "n1", _integer(self.n1, "n1", 2))
+        object.__setattr__(self, "n2", _integer(self.n2, "n2", 2))
         df1 = self.n1 - 1 if self.df1 is None else self.df1
         df2 = self.n2 - 1 if self.df2 is None else self.df2
-        object.__setattr__(self, "df1", _require_int(df1, "df1", 1))
-        object.__setattr__(self, "df2", _require_int(df2, "df2", 1))
+        object.__setattr__(self, "df1", _integer(df1, "df1", 1))
+        object.__setattr__(self, "df2", _integer(df2, "df2", 1))
         if self.df1 > self.n1 - 1:
             raise SynthesisError(f"df1 must be <= n1 - 1 = {self.n1 - 1}, got {self.df1}")
         if self.df2 > self.n2 - 1:
@@ -147,16 +129,11 @@ class JackknifeDeviations:
     constant: float = RECOMMENDED_C
 
     def __post_init__(self) -> None:
-        devs = tuple(float(d) for d in self.deviations)
+        devs = tuple(_finite(d, "deviations") for d in self.deviations)
         if len(devs) < 2:
             raise SynthesisError(f"need at least 2 deviations, got {len(devs)}")
-        for d in devs:
-            if not math.isfinite(d):
-                raise SynthesisError(f"deviations must be finite, got {d!r}")
-        if not math.isfinite(float(self.constant)) or float(self.constant) < 0.0:
-            raise SynthesisError(f"constant must be finite and >= 0, got {self.constant!r}")
         object.__setattr__(self, "deviations", devs)
-        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "constant", _finite(self.constant, "constant", 0.0))
 
 
 def jackknife_components(inputs: JackknifeDeviations) -> list[VarianceComponent]:

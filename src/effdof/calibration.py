@@ -139,6 +139,12 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         raise CalibrationError(f"need at least {folds} points, got {n}")
     xs = np.asarray([p[0] for p in pts], dtype=float)
     ys = np.asarray([p[1] for p in pts], dtype=float)
+    # Polynomial.fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
+    # LAPACK would take a map that is not finite, print to stdout and then fail.
+    lo, hi = float(xs.min()), float(xs.max())
+    if not (hi > lo and 0.0 < 2.0 / (hi - lo) < math.inf
+            and math.isfinite((hi + lo) / (hi - lo))):
+        raise CalibrationError(f"cannot map the sampled span [{lo!r}, {hi!r}] onto [-1, 1]")
 
     order = np.random.default_rng(int(seed)).permutation(n)
     fold_ids = np.empty(n, dtype=int)
@@ -175,7 +181,9 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     pred = Polynomial(coefficients)(xs)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     sse = float(np.sum((ys - pred) ** 2))
-    r_squared = 1.0 if sst == 0.0 and sse == 0.0 else 1.0 - sse / sst
+    if sst == 0.0 and sse > 0.0:
+        raise CalibrationError("the sampled X2 curve is flat: every constant gives the same X2")
+    r_squared = 1.0 if sst == 0.0 else 1.0 - sse / sst
     return PolynomialFit(degree, coefficients, r_squared)
 
 

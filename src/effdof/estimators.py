@@ -68,14 +68,26 @@ class DegenerateSynthesisError(SynthesisError):
     """Every component variance is zero, so the defining ratio is 0/0."""
 
 
-def _finite(value, name: str) -> float:
+def _finite(value, name: str, minimum: float = -math.inf) -> float:
+    """``value`` as a finite float no smaller than ``minimum``."""
     try:
         x = float(value)
     except (TypeError, ValueError):
         raise SynthesisError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(x):
         raise SynthesisError(f"{name} must be finite, got {value!r}")
+    if x < minimum:
+        raise SynthesisError(f"{name} must be >= {minimum:g}, got {value!r}")
     return x
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int no smaller than ``minimum``; bools and floats such as 2.0 fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SynthesisError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise SynthesisError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -99,18 +111,11 @@ class VarianceComponent:
         w = _finite(self.weight, "weight")
         if w <= 0.0:
             raise SynthesisError(f"weight must be > 0, got {self.weight!r}")
-        s2 = _finite(self.s2, "s2")
-        if s2 < 0.0:
-            raise SynthesisError(f"s2 must be >= 0, got {self.s2!r}")
-        if isinstance(self.df, bool) or not isinstance(self.df, numbers.Integral):
-            raise SynthesisError(f"df must be a positive integer, got {self.df!r}")
-        if self.df < 1:
-            raise SynthesisError(f"df must be >= 1, got {self.df!r}")
+        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "s2", _finite(self.s2, "s2", 0.0))
+        object.__setattr__(self, "df", _integer(self.df, "df", 1))
         if self.df > sys.float_info.max:
             raise SynthesisError(f"df must be <= {sys.float_info.max!r}, the largest double")
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "df", int(self.df))
 
 
 @dataclass(frozen=True)
@@ -127,13 +132,10 @@ class AdjustmentConfig:
     p: int = 0
 
     def __post_init__(self) -> None:
-        c = _finite(self.c, "c")
-        if c < 0.0:
-            raise SynthesisError(f"c must be >= 0, got {self.c!r}")
-        if self.p not in (0, 1):
+        object.__setattr__(self, "c", _finite(self.c, "c", 0.0))
+        object.__setattr__(self, "p", _integer(self.p, "p", 0))
+        if self.p > 1:
             raise SynthesisError(f"p must be 0 or 1, got {self.p!r}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "p", int(self.p))
 
 
 @dataclass(frozen=True)

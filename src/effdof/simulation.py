@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorVariant, VarianceComponent
+from .estimators import EstimatorVariant, SynthesisError, VarianceComponent, _integer
 
 __all__ = [
     "DEFAULT_REPLICATES",
@@ -93,19 +93,13 @@ class SimulationGrid:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        ks = tuple(sorted({int(k) for k in self.k_values}))
-        nus = tuple(sorted({int(nu) for nu in self.nu_values}))
+        ks = tuple(sorted({_integer(k, "component count", 2) for k in self.k_values}))
+        nus = tuple(sorted({_integer(nu, "component d.f.", 1) for nu in self.nu_values}))
         if not ks or not nus:
-            raise ValueError("grid value sets must be nonempty")
-        if ks[0] < 2:
-            raise ValueError(f"component counts must be >= 2, got {ks[0]}")
-        if nus[0] < 1:
-            raise ValueError(f"component d.f. must be >= 1, got {nus[0]}")
-        if int(self.replicates) < 2:
-            raise ValueError(f"replicates must be >= 2, got {self.replicates}")
+            raise SynthesisError("grid value sets must be nonempty")
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 2))
         object.__setattr__(self, "seed", int(self.seed))
 
     def cells(self) -> list[tuple[int, int]]:
@@ -137,9 +131,7 @@ def sample_chi2(df: int, rng: np.random.Generator) -> float:
     Consumes the stream as one element of ``sample_chi2_matrix`` does, so a
     loop over this function replays a matrix draw bit for bit.
     """
-    if int(df) < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    return float(rng.chisquare(int(df)))
+    return float(rng.chisquare(_integer(df, "df", 1)))
 
 
 def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int) -> np.ndarray:
@@ -190,16 +182,12 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
                      rng: np.random.Generator) -> CellStat:
     """Sample mean and standard error of one estimator at a (K, nu) cell.
 
-    Draws K independent chi-square(nu) components per replicate and evaluates
-    the estimator on them with unit weights, as in the reference tables.
+    Draws K independent chi-square(nu) components per replicate, keeps their
+    Satterthwaite ratio, and scales the ratio's mean and standard error by the
+    estimator's factor at (K, nu) (see the module docstring). Building that
+    factor checks nu, as a component d.f.
     """
-    k, nu, replicates = int(k), int(nu), int(replicates)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
-    if replicates < 2:
-        raise ValueError(f"replicates must be >= 2, got {replicates}")
+    k, replicates = _integer(k, "k", 1), _integer(replicates, "replicates", 2)
     factor = _factor(method, k, nu)
     mean, std_error = _ratio_stat(k, nu, replicates, rng)
     return CellStat(mean * factor, std_error * factor, float(k * nu))
@@ -239,9 +227,7 @@ def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarra
     floating-point excursions at the equal-components boundary. The draws
     are the same for any thread count (see the module docstring).
     """
-    replicates = int(replicates)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    replicates = _integer(replicates, "replicates", 1)
     out = np.empty(replicates)
 
     def fill(start: int, chunks) -> None:
@@ -261,9 +247,7 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     ``ratio_samples_k2_nu1`` are summed chunk by chunk, then block by block in
     block order, so memory does not grow with ``replicates``.
     """
-    replicates = int(replicates)
-    if replicates < 2:
-        raise ValueError(f"replicates must be >= 2, got {replicates}")
+    replicates = _integer(replicates, "replicates", 2)
     return sum(_ratio_blocks_k2_nu1(replicates, rng, lambda _, chunks: sum(
         float(part.sum()) for part in chunks))) / replicates
 
@@ -278,9 +262,7 @@ def _pool_size(max_workers: int | None, cells: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    requested = cpus if max_workers is None else int(max_workers)
-    if requested < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    requested = cpus if max_workers is None else _integer(max_workers, "max_workers", 1)
     return min(requested, cpus, cells)
 
 

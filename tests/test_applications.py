@@ -62,6 +62,8 @@ class TestRubin:
         {"sampling_s2": 1.0, "sampling_df": 10, "imputation_s2": 1.0, "m": 1},
         {"sampling_s2": 1.0, "sampling_df": 0, "imputation_s2": 1.0, "m": 5},
         {"sampling_s2": -1.0, "sampling_df": 10, "imputation_s2": 1.0, "m": 5},
+        {"sampling_s2": 1.0, "sampling_df": 10, "imputation_s2": 1.0, "m": 5.0},
+        {"sampling_s2": "x", "sampling_df": 10, "imputation_s2": 1.0, "m": 5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(SynthesisError):
@@ -107,6 +109,15 @@ class TestWelch:
         with pytest.raises(DegenerateSynthesisError):
             welch_df(WelchInput(0.0, 0.0, 10, 10, 9, 9))
 
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 10, 10, 9, 10),
+        (1.0, 1.0, 10.0, 10),
+        (1.0, float("inf"), 10, 10),
+    ], ids=["df2-above-n2-minus-one", "float-n1", "infinite-s2_2"])
+    def test_validation(self, args):
+        with pytest.raises(SynthesisError):
+            WelchInput(*args)
+
 
 class TestJackknife:
     def test_equal_deviations(self):
@@ -138,6 +149,16 @@ class TestJackknife:
     def test_needs_two_deviations(self):
         with pytest.raises(SynthesisError):
             JackknifeDeviations((1.0,))
+
+    @pytest.mark.parametrize("args", [
+        ((1.0, float("nan")),),
+        ((1.0, 2.0), -0.5),
+        ((1.0, "x"),),
+        ((1.0, 2.0), "x"),
+    ], ids=["nan-deviation", "negative-constant", "text-deviation", "text-constant"])
+    def test_validation(self, args):
+        with pytest.raises(SynthesisError):
+            JackknifeDeviations(*args)
 
     def test_components_have_unit_weight_single_df(self):
         for comp in jackknife_components(JackknifeDeviations((0.3, -0.7))):

@@ -83,6 +83,14 @@ class TestFitPolynomialCv:
         expected = 1.0 - float(np.sum((ys - pred) ** 2)) / float(np.sum((ys - ys.mean()) ** 2))
         assert fit.r_squared == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lo, hi", [(1e-320, 2e-320), (5e307, 1.7e308), (1.0, 1.0)],
+                             ids=["subnormal", "near-the-largest-double", "one-abscissa"])
+    def test_span_that_cannot_be_mapped_rejected_before_any_fit(self, lo, hi):
+        points = [(float(x), 1.0) for x in np.linspace(lo, hi, 12)]
+        with pytest.raises(CalibrationError, match="cannot map"):
+            fit_polynomial_cv(points, max_degree=2, folds=2)
+
     def test_fewer_points_than_folds(self):
         with pytest.raises(CalibrationError, match="at least"):
             fit_polynomial_cv([(0, 0)] * 5, max_degree=2, folds=10)

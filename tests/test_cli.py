@@ -338,16 +338,21 @@ class TestCalibrateCommand:
         assert 1.5 <= summary["c_opt"] <= 1.9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bounds", [
     ["--cmin", "0", "--cmax", "1e300", "--step", "1e299"],
     ["--cmin", "1e-320", "--cmax", "2e-320", "--step", "1e-321"],
     ["--cmin", "5e307", "--cmax", "1.7e308", "--step", "1e307"],
-], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double"])
-def test_extreme_c_interval_exits_3(bounds, capsys):
+    ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"],
+], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double", "flat-curve"])
+def test_extreme_c_interval_exits_3(bounds, capfd):
+    """A clean exit 3: no traceback, no warning, and no LAPACK message, which
+    comes from compiled code straight to the process's stdout."""
     assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
                  *bounds]) == 3
-    err = capsys.readouterr().err
+    out, err = capfd.readouterr()
     assert "error" in err and "Traceback" not in err
+    assert "DLASCL" not in out + err
 
 
 class TestParserBasics:
@@ -356,6 +361,16 @@ class TestParserBasics:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+# Component files that read_components rejects before building a component.
+_BAD_FILES = {
+    "empty.csv": "",
+    "short-row.csv": "weight,s2,df\n1,1,1\n1,1\n",
+    "invalid.json": "[{\"weight\": 1,",
+    "object.json": "{\"weight\": 1, \"s2\": 1, \"df\": 1}",
+    "no-df.json": "[{\"weight\": 1, \"s2\": 1}]",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -374,16 +389,21 @@ class TestParserBasics:
     ["calibrate", "--threads", "0"],
     ["calibrate", "--threads", "1e9"],
     ["calibrate", "--kmax", "2", "--numax", "1", "--curve-out", "MISSING_DIR"],
+    *(["estimate", name] for name in _BAD_FILES),
 ], ids=["reproduce-replicates-0", "reproduce-replicates-1", "calibrate-replicates-1",
         "calibrate-folds-1", "calibrate-max-degree-0", "calibrate-step-nan",
         "calibrate-cmax-inf", "density-bins-0", "estimate-not-utf8",
         "calibrate-cmin-negative", "reproduce-threads-0", "reproduce-threads-negative",
         "calibrate-threads-0", "calibrate-threads-not-int",
-        "calibrate-curve-out-missing-dir"])
+        "calibrate-curve-out-missing-dir",
+        *(f"estimate-{name.replace('.', '-')}" for name in _BAD_FILES)])
 def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, monkeypatch):
     path = tmp_path / "latin1.csv"
     path.write_bytes("weight,s2,df\n1,1,1\n\u00e9,1,1\n".encode("latin-1"))
     paths = {"NOT_UTF8": str(path), "MISSING_DIR": str(tmp_path / "missing" / "curve.csv")}
+    for name, text in _BAD_FILES.items():
+        (tmp_path / name).write_text(text)
+        paths[name] = str(tmp_path / name)
     for name in ("generate_table", "generate_tables", "run_calibration",
                  "ratio_samples_k2_nu1"):
         monkeypatch.setattr(f"effdof.cli.{name}", lambda *a, **k: pytest.fail("simulation ran"))

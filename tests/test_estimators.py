@@ -72,6 +72,15 @@ class TestAdjustmentConfig:
         with pytest.raises(SynthesisError):
             AdjustmentConfig(2.24, 2)
 
+    @pytest.mark.parametrize("p", [-1, 1.0, True, "1"])
+    def test_offset_must_be_an_integer_0_or_1(self, p):
+        with pytest.raises(SynthesisError, match="p must be"):
+            AdjustmentConfig(2.24, p)
+
+    def test_numpy_integer_offset_accepted(self):
+        config = AdjustmentConfig(2.24, np.int64(1))
+        assert config.p == 1 and isinstance(config.p, int)
+
 
 class TestWeightedMeanDf:
     def test_equal_components(self):

@@ -64,6 +64,11 @@ class TestSampleChi2:
         with pytest.raises(ValueError):
             sample_chi2(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("df", [0, 1.5, 2.0, True])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(SynthesisError, match="df"):
+            sample_chi2(df, np.random.default_rng(0))
+
     @pytest.mark.parametrize("nu", [1, 3, 9])
     def test_moments(self, nu):
         """Mean nu and variance 2*nu, within 5 standard errors at 10^5 draws."""
@@ -106,6 +111,14 @@ class TestRatioSampling:
             ratio_samples_k2_nu1(0, np.random.default_rng(0))
         with pytest.raises(ValueError):
             ratio_mean_k2_nu1(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("function, replicates", [
+        (ratio_samples_k2_nu1, 0), (ratio_samples_k2_nu1, 3.9), (ratio_samples_k2_nu1, True),
+        (ratio_mean_k2_nu1, 1), (ratio_mean_k2_nu1, 3.9),
+    ], ids=["samples-0", "samples-float", "samples-bool", "mean-1", "mean-float"])
+    def test_replicates_must_be_an_integer(self, function, replicates):
+        with pytest.raises(SynthesisError, match="replicates"):
+            function(replicates, np.random.default_rng(0))
 
 
 class TestChunkedKernels:
@@ -258,6 +271,13 @@ class TestSimulateMeanDf:
             simulate_mean_df(2, 1, EstimatorVariant.satterthwaite(), 1,
                              np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k, nu, replicates", [(0, 1, 10), (2.0, 1, 10), (2, 0, 10),
+                                                   (2, 1.5, 10), (2, 1, 10.9)])
+    def test_counts_rejected_with_synthesis_error(self, k, nu, replicates):
+        with pytest.raises(SynthesisError):
+            simulate_mean_df(k, nu, EstimatorVariant.satterthwaite(), replicates,
+                             np.random.default_rng(0))
+
 
 class TestSimulationGrid:
     def test_normalizes_to_sorted_unique(self):
@@ -272,6 +292,10 @@ class TestSimulationGrid:
         {"k_values": (2,), "nu_values": (0,)},
         {"k_values": (2,), "nu_values": (1,), "replicates": 0},
         {"k_values": (2,), "nu_values": (1,), "replicates": 1},
+        {"k_values": (2.7,), "nu_values": (1,)},
+        {"k_values": (2,), "nu_values": (1.5,)},
+        {"k_values": (2,), "nu_values": (1,), "replicates": 10.9},
+        {"k_values": (2,), "nu_values": (True,)},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -378,6 +402,12 @@ class TestPoolSize:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, pool_sizes, workers):
         with pytest.raises(ValueError, match="max_workers"):
+            generate_tables(self.GRID, [EstimatorVariant.satterthwaite()], max_workers=workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, 1.7, 2.0, True])
+    def test_worker_count_must_be_a_positive_integer(self, pool_sizes, workers):
+        with pytest.raises(SynthesisError, match="max_workers"):
             generate_tables(self.GRID, [EstimatorVariant.satterthwaite()], max_workers=workers)
         assert pool_sizes == []
 
