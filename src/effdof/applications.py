@@ -129,7 +129,11 @@ class JackknifeDeviations:
     constant: float = RECOMMENDED_C
 
     def __post_init__(self) -> None:
-        devs = tuple(_finite(d, "deviations") for d in self.deviations)
+        try:
+            devs = tuple(_finite(d, "deviations") for d in self.deviations)
+        except TypeError:
+            raise SynthesisError(f"deviations must be a sequence of numbers, "
+                                 f"got {self.deviations!r}") from None
         if len(devs) < 2:
             raise SynthesisError(f"need at least 2 deviations, got {len(devs)}")
         object.__setattr__(self, "deviations", devs)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .estimators import EstimatorVariant
-from .simulation import SimulationGrid, generate_table
+from .estimators import EstimatorVariant, SynthesisError, _integer
+from .simulation import _MASK64, SimulationGrid, generate_table
 
 __all__ = [
     "CalibrationCurve",
@@ -131,11 +131,13 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     """
     pts = list(points)
     n = len(pts)
-    if int(max_degree) < 1:
-        raise CalibrationError(f"max_degree must be >= 1, got {max_degree}")
-    if int(folds) < 2:
-        raise CalibrationError(f"folds must be >= 2, got {folds}")
-    if n < int(folds):
+    try:
+        max_degree = _integer(max_degree, "max_degree", 1)
+        folds = _integer(folds, "folds", 2)
+        seed = _integer(seed, "seed", -math.inf)
+    except SynthesisError as exc:
+        raise CalibrationError(str(exc)) from None
+    if n < folds:
         raise CalibrationError(f"need at least {folds} points, got {n}")
     xs = np.asarray([p[0] for p in pts], dtype=float)
     ys = np.asarray([p[1] for p in pts], dtype=float)
@@ -146,15 +148,16 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
             and math.isfinite((hi + lo) / (hi - lo))):
         raise CalibrationError(f"cannot map the sampled span [{lo!r}, {hi!r}] onto [-1, 1]")
 
-    order = np.random.default_rng(int(seed)).permutation(n)
+    # Reduced as ``substream`` reduces it, so any seed a grid admits works here.
+    order = np.random.default_rng(seed & _MASK64).permutation(n)
     fold_ids = np.empty(n, dtype=int)
-    fold_ids[order] = np.arange(n) % int(folds)
+    fold_ids[order] = np.arange(n) % folds
 
     try:
         cv_rmse = []
-        for degree in range(1, int(max_degree) + 1):
+        for degree in range(1, max_degree + 1):
             errs = []
-            for f in range(int(folds)):
+            for f in range(folds):
                 train = fold_ids != f
                 if int(train.sum()) < degree + 1:
                     errs = None

@@ -81,7 +81,7 @@ def _finite(value, name: str, minimum: float = -math.inf) -> float:
     return x
 
 
-def _integer(value, name: str, minimum: int) -> int:
+def _integer(value, name: str, minimum: float) -> int:
     """``value`` as an int no smaller than ``minimum``; bools and floats such as 2.0 fail."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise SynthesisError(f"{name} must be an integer, got {value!r}")

@@ -15,10 +15,12 @@ by the factor the estimator itself returns for K identical components.
 
 Chi-square variates come from ``Generator.chisquare``, numpy's gamma sampler
 (Marsaglia & Tsang 2000, ACM TOMS 26(3)), whose cost does not grow with nu.
-The two-component single-d.f. ratio stays on squared standard normals, which
-are cheaper than the gamma sampler at one d.f. It runs on every CPU in blocks
-of ``_RATIO_BLOCK`` draws, block 0 from the caller's generator and block i >= 1
-from the (i-1)-th child it spawns, so no thread count changes a draw.
+The two-component single-d.f. ratio depends only on the polar angle of its
+two normals, so it is drawn from one uniform per draw and a cosine built
+from IEEE basic operations alone, which gives the same bits whichever SIMD
+kernels numpy dispatches. It runs on every CPU in blocks of ``_RATIO_BLOCK``
+draws, block 0 from the caller's generator and block i >= 1 from the
+(i-1)-th child it spawns, so no thread count changes a draw.
 
 Every table cell draws from its own random substream, derived
 deterministically from ``(seed, K, nu)`` and one fixed tag shared by every
@@ -68,18 +70,21 @@ _MASK64 = (1 << 64) - 1
 # Upper bound on variates drawn per cell chunk: 2^17 doubles (1 MB), small
 # enough that a chunk stays in cache while it is squared and reduced.
 _CHUNK_SCALARS = 1 << 17
-# Rows per chunk of the two-component single-d.f. ratio (2^16 normals, 512 KB).
+# Draws per chunk of the two-component single-d.f. ratio: a (2, 2^15) buffer
+# of uniforms and results (512 KB).
 _RATIO_CHUNK_ROWS = 1 << 15
 # Draws per block of that ratio; each block has its own generator.
 _RATIO_BLOCK = 1 << 18
 # Substream tag of every table and calibration cell, whatever the variant.
 _CRN_TAG = "crn"
+# Taylor coefficients (-1)^k / (2k)! of cos, k = 10 down to 0, for Horner's rule.
+_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(10, -1, -1))
 
 
 def substream(seed: int, k: int, nu: int, tag: str) -> np.random.Generator:
     """Deterministic per-cell generator, independent of evaluation order."""
     tag_id = int.from_bytes(hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "big")
-    entropy = [int(seed) & _MASK64, int(k), int(nu), tag_id]
+    entropy = [_integer(seed, "seed", -math.inf) & _MASK64, int(k), int(nu), tag_id]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -100,7 +105,7 @@ class SimulationGrid:
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
         object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 2))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", -math.inf))
 
     def cells(self) -> list[tuple[int, int]]:
         """All (K, nu) pairs in row-major order."""
@@ -193,23 +198,39 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
     return CellStat(mean * factor, std_error * factor, float(k * nu))
 
 
-def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
-    """The clipped two-component single-d.f. ratio, one chunk of draws at a time.
+def _cos_taylor(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """cos(x) for x in [0, pi/2], by Horner's rule in x^2; ``x`` is overwritten.
 
-    Every chunk is computed in one reused buffer, which the caller must
-    consume before asking for the next chunk.
+    The degree-20 Taylor polynomial is within 1.9e-17 of cos on that range.
+    Only IEEE basic operations are used, each correctly rounded on every
+    CPU, so the result does not depend on which SIMD kernels numpy picks.
+    The last step adds a non-positive term to 1, so the result is at most 1.
     """
-    buffer = np.empty(min(_RATIO_CHUNK_ROWS, replicates))
+    z = np.square(x, out=x)
+    np.multiply(z, _COS_TAYLOR[0], out=out)
+    for coefficient in _COS_TAYLOR[1:-1]:
+        out += coefficient
+        out *= z
+    out += 1.0
+    return out
+
+
+def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
+    """The two-component single-d.f. ratio, one chunk of draws at a time.
+
+    Each draw is 2 / (1 + cos^2(pi U / 2)) for one uniform U (see
+    ``ratio_samples_k2_nu1``). Every chunk is computed in one reused buffer,
+    which the caller must consume before asking for the next chunk.
+    """
+    buffer = np.empty((2, min(_RATIO_CHUNK_ROWS, replicates)))
     for done in range(0, replicates, _RATIO_CHUNK_ROWS):
         m = min(_RATIO_CHUNK_ROWS, replicates - done)
-        s = rng.standard_normal((m, 2))
-        np.square(s, out=s)
-        ratio = np.add(s[:, 0], s[:, 1], out=buffer[:m])
-        np.square(ratio, out=ratio)
-        np.square(s, out=s)
-        den = np.add(s[:, 0], s[:, 1], out=s[:, 0])
-        np.divide(ratio, den, out=ratio)
-        yield np.clip(ratio, 1.0, 2.0, out=ratio)
+        angle, ratio = buffer[0, :m], buffer[1, :m]
+        rng.random(out=angle)
+        angle *= math.pi / 2
+        np.square(_cos_taylor(angle, out=ratio), out=ratio)
+        ratio += 1.0
+        yield np.divide(2.0, ratio, out=ratio)
 
 
 def _ratio_blocks_k2_nu1(replicates: int, rng: np.random.Generator, consume) -> list:
@@ -223,9 +244,12 @@ def _ratio_blocks_k2_nu1(replicates: int, rng: np.random.Generator, consume) -> 
 def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarray:
     """Raw draws of the two-component single-d.f. ratio (Z1^2+Z2^2)^2 / (Z1^4+Z2^4).
 
-    The ratio lies in [1, 2] for every pair of reals; the clip only removes
-    floating-point excursions at the equal-components boundary. The draws
-    are the same for any thread count (see the module docstring).
+    With (Z1, Z2) at polar angle a the ratio is 1 / (cos^4 a + sin^4 a)
+    = 2 / (1 + cos^2 2a), and 2a folded onto [0, pi/2) is uniform, so each
+    draw is 2 / (1 + c^2) with c = cos(pi U / 2) for one uniform U. The
+    cosine never exceeds 1, so every draw lies in [1, 2]: U = 0 gives 1
+    exactly and U near 1 gives 2. The draws are the same for any thread
+    count and any CPU (see the module docstring).
     """
     replicates = _integer(replicates, "replicates", 1)
     out = np.empty(replicates)
@@ -242,10 +266,10 @@ def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarra
 def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     """Monte Carlo mean of the two-component single-d.f. ratio.
 
-    Converges to sqrt(2): in polar coordinates the radius cancels and the
-    angular average of the ratio is exactly 2^(1/2). The draws of
-    ``ratio_samples_k2_nu1`` are summed chunk by chunk, then block by block in
-    block order, so memory does not grow with ``replicates``.
+    Converges to sqrt(2), the average of 2 / (1 + cos^2 t) over t uniform on
+    [0, pi/2). The draws of ``ratio_samples_k2_nu1`` are summed chunk by
+    chunk, then block by block in block order, so memory does not grow with
+    ``replicates``.
     """
     replicates = _integer(replicates, "replicates", 2)
     return sum(_ratio_blocks_k2_nu1(replicates, rng, lambda _, chunks: sum(

@@ -155,7 +155,9 @@ class TestJackknife:
         ((1.0, 2.0), -0.5),
         ((1.0, "x"),),
         ((1.0, 2.0), "x"),
-    ], ids=["nan-deviation", "negative-constant", "text-deviation", "text-constant"])
+        (5,),
+    ], ids=["nan-deviation", "negative-constant", "text-deviation", "text-constant",
+            "not-a-sequence"])
     def test_validation(self, args):
         with pytest.raises(SynthesisError):
             JackknifeDeviations(*args)

@@ -102,6 +102,15 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError):
             fit_polynomial_cv(points, folds=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_degree": 2.9}, {"max_degree": True}, {"folds": 2.5}, {"folds": True},
+        {"seed": 1.9},
+    ], ids=["float-degree", "bool-degree", "float-folds", "bool-folds", "float-seed"])
+    def test_parameters_must_be_integers(self, kwargs):
+        points = [(float(i), float(i)) for i in range(12)]
+        with pytest.raises(CalibrationError, match="must be an integer"):
+            fit_polynomial_cv(points, **kwargs)
+
 
 class TestFindCOpt:
     def test_quadratic_vertex(self):
@@ -216,6 +225,12 @@ class TestRunCalibration:
         assert 1 <= curve.fitted_degree <= 6
         # Shared draws make the sampled curve smooth, so the fit is tight.
         assert curve.r_squared > 0.999
+
+    def test_negative_seed_runs(self):
+        """A negative grid seed draws its cells and deals its folds like any other."""
+        grid = SimulationGrid((2, 3), (1, 2), replicates=200, seed=-3)
+        curve = run_calibration(grid, [2.0 + 0.1 * i for i in range(12)])
+        assert curve.c_points[0] <= curve.c_opt <= curve.c_points[-1]
 
     def test_study_seed_stability_at_small_size(self):
         results = []

@@ -48,7 +48,7 @@ CASES = {
                              "--threads", "2", "--format", "csv"],
     "calibrate-4x4": ["calibrate", "--kmax", "4", "--numax", "4", "--replicates", "300",
                       "--curve-out", CURVE],
-    # 70000 pairs: two full 2^15-row chunks and a partial third.
+    # 70000 draws: two full 2^15-draw chunks and a partial third.
     "density-raw-70000": ["density", "--raw", "--replicates", "70000", "--seed", "3"],
     "density-histogram": ["density", "--replicates", "5000", "--bins", "20"],
     # 600000 draws: two full 2^18-draw blocks, the second from a spawned

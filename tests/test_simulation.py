@@ -22,21 +22,33 @@ from effdof import (
     substream,
 )
 from effdof import simulation
-from effdof.simulation import CellStat, MeanDfTable, _ratio_stat, _row_sums, sample_chi2_matrix
+from effdof.simulation import (
+    CellStat,
+    MeanDfTable,
+    _cos_taylor,
+    _ratio_stat,
+    _row_sums,
+    sample_chi2_matrix,
+)
 
 
 class _ZeroRng:
-    """Stand-in generator whose chi-square variates are all zero."""
+    """Stand-in generator whose chi-square and uniform variates are all zero."""
 
     def chisquare(self, df, size=None):
         return 0.0 if size is None else np.zeros(size)
 
+    def random(self, out):
+        out.fill(0.0)
+        return out
+
 
 class _OnesRng:
-    """Stand-in generator whose normal deviates are all one."""
+    """Stand-in generator whose uniform deviates are all one."""
 
-    def standard_normal(self, size):
-        return np.ones(size)
+    def random(self, out):
+        out.fill(1.0)
+        return out
 
 
 def angular_ratio_mean_oracle() -> float:
@@ -98,6 +110,32 @@ class TestRatioSampling:
     def test_equal_draws_give_two_exactly(self):
         assert ratio_samples_k2_nu1(8, _OnesRng()).tolist() == [2.0] * 8
 
+    def test_one_component_draws_give_one_exactly(self):
+        """U = 0 is the angle at which one component carries the whole synthesis."""
+        assert ratio_samples_k2_nu1(8, _ZeroRng()).tolist() == [1.0] * 8
+
+    def test_largest_uniform_gives_two_exactly(self):
+        class LargestUniformRng:
+            def random(self, out):
+                out.fill(1.0 - 2.0 ** -53)  # the largest value Generator.random returns
+                return out
+
+        assert ratio_samples_k2_nu1(8, LargestUniformRng()).tolist() == [2.0] * 8
+
+    def test_distribution_within_dkw_bound(self):
+        """The empirical CDF of 10^6 draws against F(r) = (2/pi) arccos(sqrt(2/r - 1)).
+
+        By the Dvoretzky-Kiefer-Wolfowitz inequality (Massart's constant) the
+        sup distance exceeds sqrt(log(2/alpha) / (2n)) with probability at most
+        alpha = 1e-6.
+        """
+        n = 1_000_000
+        draws = np.sort(ratio_samples_k2_nu1(n, substream(19, 2, 1, "dkw")))
+        cdf = (2.0 / np.pi) * np.arccos(np.sqrt(2.0 / draws - 1.0))
+        steps = np.arange(n + 1) / n
+        distance = max(float(np.max(steps[1:] - cdf)), float(np.max(cdf - steps[:-1])))
+        assert distance <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n))
+
     def test_mean_matches_angular_oracle(self):
         oracle = angular_ratio_mean_oracle()
         assert oracle == pytest.approx(math.sqrt(2.0), abs=1e-10)
@@ -119,6 +157,16 @@ class TestRatioSampling:
     def test_replicates_must_be_an_integer(self, function, replicates):
         with pytest.raises(SynthesisError, match="replicates"):
             function(replicates, np.random.default_rng(0))
+
+
+class TestCosTaylor:
+    """The exact-operation cosine behind the ratio's draws."""
+
+    def test_matches_math_cos(self):
+        x = np.linspace(0.0, math.pi / 2, 10_000)
+        c = _cos_taylor(x.copy(), np.empty_like(x))
+        assert max(abs(ci - math.cos(xi)) for xi, ci in zip(x.tolist(), c.tolist())) <= 4e-16
+        assert c.max() <= 1.0
 
 
 class TestChunkedKernels:
@@ -296,6 +344,8 @@ class TestSimulationGrid:
         {"k_values": (2,), "nu_values": (1.5,)},
         {"k_values": (2,), "nu_values": (1,), "replicates": 10.9},
         {"k_values": (2,), "nu_values": (True,)},
+        {"k_values": (2,), "nu_values": (1,), "seed": 1.9},
+        {"k_values": (2,), "nu_values": (1,), "seed": True},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -445,3 +495,9 @@ class TestSubstream:
     def test_negative_seed_accepted(self):
         draws = substream(-17, 2, 1, "x").standard_normal(3)
         assert np.all(np.isfinite(draws))
+        assert SimulationGrid((2,), (1,), seed=-17).seed == -17
+
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(SynthesisError, match="seed"):
+            substream(seed, 2, 1, "x")
