@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .estimators import (
+    _RECOMMENDED,
     RECOMMENDED_C,
     AdjustmentConfig,
     DfEstimate,
@@ -32,9 +33,6 @@ __all__ = [
     "welch_components",
     "welch_df",
 ]
-
-_DEFAULT_CONFIG = AdjustmentConfig(RECOMMENDED_C, 0)
-
 
 @dataclass(frozen=True)
 class RubinVariance:
@@ -69,7 +67,7 @@ def rubin_components(inputs: RubinVariance) -> list[VarianceComponent]:
 
 def rubin_df(inputs: RubinVariance, config: AdjustmentConfig | None = None) -> DfEstimate:
     """Adjusted effective d.f. of the multiple-imputation total variance."""
-    return adjusted_df(rubin_components(inputs), config or _DEFAULT_CONFIG)
+    return adjusted_df(rubin_components(inputs), config or _RECOMMENDED)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ def welch_components(inputs: WelchInput) -> list[VarianceComponent]:
 
 def welch_df(inputs: WelchInput, config: AdjustmentConfig | None = None) -> DfEstimate:
     """Adjusted effective d.f. for the two-sample unequal-variance test."""
-    return adjusted_df(welch_components(inputs), config or _DEFAULT_CONFIG)
+    return adjusted_df(welch_components(inputs), config or _RECOMMENDED)
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,8 @@ class JackknifeDeviations:
 
     def __post_init__(self) -> None:
         try:
+            if isinstance(self.deviations, (str, bytes, bytearray)):
+                raise TypeError  # iteration would read its characters as numbers
             devs = tuple(_finite(d, "deviations") for d in self.deviations)
         except TypeError:
             raise SynthesisError(f"deviations must be a sequence of numbers, "

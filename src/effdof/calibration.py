@@ -31,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .estimators import EstimatorVariant, SynthesisError, _integer
+from .estimators import CalibrationError, EstimatorVariant, SynthesisError, _integer, _shrink
 from .simulation import _MASK64, SimulationGrid, generate_table
 
 __all__ = [
     "CalibrationCurve",
-    "CalibrationError",
     "PolynomialFit",
     "default_c_grid",
     "evaluate_x2_curve",
@@ -44,10 +43,6 @@ __all__ = [
     "fit_polynomial_cv",
     "run_calibration",
 ]
-
-
-class CalibrationError(ValueError):
-    """Invalid input to the calibration pipeline."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid,
     x2 = np.zeros_like(constants)
     for (k, nu), cell in base.items():
         reference = float(k * nu)
-        mean_c = cell.mean / (1.0 + constants / (k * float(nu)))
+        mean_c = cell.mean / _shrink(constants, k, float(nu))
         x2 += np.float_power(mean_c - reference, 2) / reference
     return list(zip(cs, x2.tolist()))
 

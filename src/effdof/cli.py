@@ -20,42 +20,21 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
 
-from .applications import (
-    JackknifeDeviations,
-    RubinVariance,
-    WelchInput,
-    jackknife_components,
-    rubin_components,
-    welch_components,
-)
-from .calibration import CalibrationError, default_c_grid, run_calibration
+from . import applications, calibration, simulation
 from .estimators import RECOMMENDED_C, EstimatorVariant, SynthesisError, VarianceComponent
-from .reference import (
-    REFERENCE_K_VALUES,
-    REFERENCE_NU_VALUES,
-    REFERENCE_TABLES,
-    REFERENCE_X2,
-)
-from .simulation import (
-    DEFAULT_REPLICATES,
-    DEFAULT_SEED,
-    SimulationGrid,
-    generate_table,
-    generate_tables,
-    pseudo_x2,
-    ratio_samples_k2_nu1,
-    substream,
-)
+from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES, REFERENCE_X2
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 _FORMATS = ("csv", "markdown", "json")
+_RAW_SLICE = 1 << 16  # draws per write of `density --raw`, which bounds its memory
 
 _TABLE_METHODS = {
     "1": EstimatorVariant.satterthwaite(),
@@ -113,11 +92,10 @@ def _csv_rows(path: str):
             raise InputError(
                 f"header must be exactly weight,s2,df (any order), got {','.join(header)}")
         for i, record in enumerate(reader, start=2):
-            record = {k.strip(): (v.strip() if isinstance(v, str) else v)
-                      for k, v in record.items() if k is not None}
-            if any(v is None for v in record.values()):
+            # DictReader keys extra fields under None and fills missing ones with None.
+            if None in record or None in record.values():
                 raise InputError(f"row {i}: expected 3 fields")
-            yield i, record
+            yield i, {k.strip(): v.strip() for k, v in record.items()}
 
 
 def _json_rows(path: str):
@@ -192,15 +170,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
-                          replicates=args.replicates, seed=args.seed)
+    grid = simulation.SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
+                                     replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
-        variants = [EstimatorVariant.satterthwaite() if c is None
-                    else EstimatorVariant.adjusted(c, p) for _, c, p, _ in REFERENCE_X2]
-        tables = generate_tables(grid, variants, max_workers=args.threads)
+        tables = simulation.generate_tables(grid, [v for v, _ in REFERENCE_X2], args.threads)
         records = []
-        for (label, _, _, published), table in zip(REFERENCE_X2, tables):
-            record = {"method": label, "x2": pseudo_x2(table)}
+        for (variant, published), table in zip(REFERENCE_X2, tables):
+            record = {"method": variant.label, "x2": simulation.pseudo_x2(table)}
             if args.diff:
                 # The published summary comes from another, unidentified grid.
                 record["published"] = published
@@ -210,7 +186,7 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
 
     method = _TABLE_METHODS[args.table]
-    table = generate_table(grid, method, max_workers=args.threads)
+    table = simulation.generate_table(grid, method, max_workers=args.threads)
     published = REFERENCE_TABLES[args.table]
     cells = {key: {"k": key[0], "nu": key[1], "mean": cell.mean, "std_error": cell.std_error,
                    "expected": cell.expected} for key, cell in table.cells.items()}
@@ -239,17 +215,22 @@ def _cmd_calibrate(args) -> int:
         raise InputError(f"need 0 <= cmin < cmax < inf, got {args.cmin} and {args.cmax}")
     if not 0 < args.step <= args.cmax - args.cmin:
         raise InputError("step larger than the C interval: empty grid")
-    grid = SimulationGrid(tuple(range(2, args.kmax + 1)),
-                          tuple(range(1, args.numax + 1)),
-                          replicates=args.replicates, seed=args.seed)
+    grid = simulation.SimulationGrid(range(2, args.kmax + 1), range(1, args.numax + 1),
+                                     replicates=args.replicates, seed=args.seed)
+    created = bool(args.curve_out) and not os.path.exists(args.curve_out)
     if args.curve_out:
         # A path that cannot be written fails before the first draw, not after
         # the whole study; append mode leaves an existing file as it is.
         with open(args.curve_out, "a", encoding="utf-8"):
             pass
-    curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
-                            folds=args.folds, max_degree=args.max_degree,
-                            max_workers=args.threads)
+    try:
+        curve = calibration.run_calibration(
+            grid, calibration.default_c_grid(args.cmin, args.cmax, args.step),
+            folds=args.folds, max_degree=args.max_degree, max_workers=args.threads)
+    except BaseException:
+        if created:  # a failed study leaves no empty curve file behind
+            os.remove(args.curve_out)
+        raise
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([("C", "X2"), *zip(curve.c_points, curve.x2_points)])
@@ -260,11 +241,14 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    samples = ratio_samples_k2_nu1(args.replicates, substream(args.seed, 2, 1, "ratio"))
+    samples = simulation.ratio_samples_k2_nu1(
+        args.replicates, simulation.substream(args.seed, 2, 1, "ratio"))
     if args.raw:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["sample"])
-        writer.writerows([value] for value in samples.tolist())
+        # The bytes csv.writer would write, one slice of draws at a time.
+        sys.stdout.write("sample\r\n")
+        for start in range(0, len(samples), _RAW_SLICE):
+            sys.stdout.write("".join(
+                f"{value!r}\r\n" for value in samples[start:start + _RAW_SLICE].tolist()))
         return EXIT_OK
     counts, edges = np.histogram(samples, bins=args.bins, range=(1.0, 2.0))
     _emit("csv", [{"bin_left": edges[i], "bin_right": edges[i + 1], "count": int(count)}
@@ -274,12 +258,12 @@ def _cmd_density(args) -> int:
 
 # Each adapter's inputs, validated, as the components of its synthesis.
 _ADAPTERS = {
-    "rubin": lambda a: rubin_components(
-        RubinVariance(a.sampling_s2, a.sampling_df, a.imputation_s2, a.m)),
-    "welch": lambda a: welch_components(
-        WelchInput(a.s2_1, a.s2_2, a.n1, a.n2, a.df1, a.df2)),
-    "jackknife": lambda a: jackknife_components(
-        JackknifeDeviations(tuple(a.deviations), a.constant)),
+    "rubin": lambda a: applications.rubin_components(
+        applications.RubinVariance(a.sampling_s2, a.sampling_df, a.imputation_s2, a.m)),
+    "welch": lambda a: applications.welch_components(
+        applications.WelchInput(a.s2_1, a.s2_2, a.n1, a.n2, a.df1, a.df2)),
+    "jackknife": lambda a: applications.jackknife_components(
+        applications.JackknifeDeviations(tuple(a.deviations), a.constant)),
 }
 
 
@@ -349,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--table", choices=("1", "2", "3", "4", "x2"), required=True,
                        help="1 satterthwaite, 2 vd2025, 3 adjusted c=2.24, "
                             "4 adjusted c=2.69, x2 pseudo chi-square summary")
-    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
+    p_rep.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
+    p_rep.add_argument("--replicates", type=_at_least(2), default=simulation.DEFAULT_REPLICATES)
     _add_threads(p_rep)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
@@ -365,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--cmin", type=float, default=2.01)
     p_cal.add_argument("--cmax", type=float, default=3.19)
     p_cal.add_argument("--step", type=float, default=0.01)
-    p_cal.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
+    p_cal.add_argument("--replicates", type=_at_least(2), default=simulation.DEFAULT_REPLICATES)
     p_cal.add_argument("--folds", type=_at_least(2), default=10)
     p_cal.add_argument("--max-degree", type=_at_least(1), default=6)
-    p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_cal.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
     _add_threads(p_cal)
     p_cal.add_argument("--curve-out", default=None,
                        help="optional path for the sampled (C, X2) curve CSV")
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density",
                            help="histogram of the two-component single-d.f. ratio")
     p_den.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p_den.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_den.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
     p_den.add_argument("--bins", type=_at_least(1), default=50)
     p_den.add_argument("--raw", action="store_true", help="emit raw samples instead of bins")
     p_den.set_defaults(handler=_cmd_density)
@@ -422,9 +406,9 @@ def main(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.handler(args)
-    except (InputError, OSError, UnicodeDecodeError, SynthesisError, CalibrationError) as exc:
+    except (InputError, OSError, UnicodeDecodeError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC if isinstance(exc, (SynthesisError, CalibrationError)) else EXIT_INPUT
+        return EXIT_NUMERIC if isinstance(exc, SynthesisError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 __all__ = [
     "RECOMMENDED_C",
     "AdjustmentConfig",
+    "CalibrationError",
     "DegenerateSynthesisError",
     "DfEstimate",
     "EstimatorVariant",
@@ -66,6 +67,10 @@ class NoComponentsError(SynthesisError):
 
 class DegenerateSynthesisError(SynthesisError):
     """Every component variance is zero, so the defining ratio is 0/0."""
+
+
+class CalibrationError(SynthesisError):
+    """Invalid input to the calibration pipeline."""
 
 
 def _finite(value, name: str, minimum: float = -math.inf) -> float:
@@ -136,6 +141,11 @@ class AdjustmentConfig:
         object.__setattr__(self, "p", _integer(self.p, "p", 0))
         if self.p > 1:
             raise SynthesisError(f"p must be 0 or 1, got {self.p!r}")
+
+
+# The two named members of the adjusted family.
+_VD2025 = AdjustmentConfig(2.0, 1)
+_RECOMMENDED = AdjustmentConfig(RECOMMENDED_C, 0)
 
 
 @dataclass(frozen=True)
@@ -211,6 +221,11 @@ def satterthwaite_df(components) -> DfEstimate:
     return DfEstimate(_ratio(comps, plus_two=False), SATTERTHWAITE)
 
 
+def _shrink(c, k, nu_bar):
+    """The shrink term ``1 + c / (K * nu_bar)``; ``c`` may be a numpy array of constants."""
+    return 1.0 + c / (k * nu_bar)
+
+
 def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     """Bias-corrected effective d.f. with the ``nu_k + 2`` denominator.
 
@@ -230,8 +245,7 @@ def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     ratio = _ratio(comps, plus_two=True)
     nu_bar = weighted_mean_df(comps)
     c_eff = config.c if config.p == 0 else config.c * k / (k - 1.0)
-    shrink = 1.0 + c_eff / (k * nu_bar)
-    return DfEstimate(ratio / shrink, ADJUSTED, config)
+    return DfEstimate(ratio / _shrink(c_eff, k, nu_bar), ADJUSTED, config)
 
 
 def vondavier2025_df(components) -> DfEstimate:
@@ -239,13 +253,12 @@ def vondavier2025_df(components) -> DfEstimate:
 
     Requires at least two components.
     """
-    est = adjusted_df(components, AdjustmentConfig(2.0, 1))
-    return DfEstimate(est.value, VON_DAVIER_2025, est.config)
+    return DfEstimate(adjusted_df(components, _VD2025).value, VON_DAVIER_2025, _VD2025)
 
 
 def recommended_df(components) -> DfEstimate:
     """Adjusted estimate at the recommended constant c = 2.24 with p = 0."""
-    return adjusted_df(components, AdjustmentConfig(RECOMMENDED_C, 0))
+    return adjusted_df(components, _RECOMMENDED)
 
 
 @dataclass(frozen=True)
@@ -269,7 +282,7 @@ class EstimatorVariant:
         elif self.method in (VON_DAVIER_2025, ADJUSTED):
             if self.config is None:
                 raise ValueError(f"{self.method} requires an adjustment config")
-            if self.method == VON_DAVIER_2025 and self.config != AdjustmentConfig(2.0, 1):
+            if self.method == VON_DAVIER_2025 and self.config != _VD2025:
                 raise ValueError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
         else:
             raise ValueError(f"unknown method {self.method!r}")
@@ -284,11 +297,11 @@ class EstimatorVariant:
 
     @classmethod
     def von_davier_2025(cls) -> "EstimatorVariant":
-        return cls(VON_DAVIER_2025, AdjustmentConfig(2.0, 1))
+        return cls(VON_DAVIER_2025, _VD2025)
 
     @classmethod
     def recommended(cls) -> "EstimatorVariant":
-        return cls(ADJUSTED, AdjustmentConfig(RECOMMENDED_C, 0))
+        return cls(ADJUSTED, _RECOMMENDED)
 
     @property
     def tag(self) -> str:

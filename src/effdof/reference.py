@@ -10,6 +10,8 @@ published with; comparisons should allow Monte Carlo noise on both sides.
 
 from __future__ import annotations
 
+from .estimators import EstimatorVariant
+
 __all__ = [
     "REFERENCE_K_VALUES",
     "REFERENCE_NU_VALUES",
@@ -81,13 +83,13 @@ REFERENCE_TABLES: dict[str, dict[tuple[int, int], float]] = {
     "4": _as_cells(_C269_ROWS),
 }
 
-#: Published pseudo chi-square summary: (label, c, p, X2). The grid behind
+#: Published pseudo chi-square summary: (variant, X2). The grid behind
 #: these values is not identified; it is not the 8x8 grid above, so they are
 #: not comparable to `pseudo_x2` on that grid (the published c=2.69 cells
 #: above alone give about 0.23 there, against 0.02016 here).
-REFERENCE_X2: tuple[tuple[str, float | None, int | None, float], ...] = (
-    ("satterthwaite", None, None, 13.27251),
-    ("vd2025", 2.0, 1, 0.31631),
-    ("adjusted(c=2.25, p=0)", 2.25, 0, 0.06412),
-    ("adjusted(c=2.69, p=0)", 2.69, 0, 0.02016),
+REFERENCE_X2: tuple[tuple[EstimatorVariant, float], ...] = (
+    (EstimatorVariant.satterthwaite(), 13.27251),
+    (EstimatorVariant.von_davier_2025(), 0.31631),
+    (EstimatorVariant.adjusted(2.25, 0), 0.06412),
+    (EstimatorVariant.adjusted(2.69, 0), 0.02016),
 )

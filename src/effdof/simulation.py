@@ -84,7 +84,8 @@ _COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(10, -1, -1)
 def substream(seed: int, k: int, nu: int, tag: str) -> np.random.Generator:
     """Deterministic per-cell generator, independent of evaluation order."""
     tag_id = int.from_bytes(hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "big")
-    entropy = [_integer(seed, "seed", -math.inf) & _MASK64, int(k), int(nu), tag_id]
+    entropy = [_integer(seed, "seed", -math.inf) & _MASK64,
+               _integer(k, "k", 0), _integer(nu, "nu", 0), tag_id]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

@@ -156,8 +156,10 @@ class TestJackknife:
         ((1.0, "x"),),
         ((1.0, 2.0), "x"),
         (5,),
+        ("12",),
+        (b"12",),
     ], ids=["nan-deviation", "negative-constant", "text-deviation", "text-constant",
-            "not-a-sequence"])
+            "not-a-sequence", "string", "bytes"])
     def test_validation(self, args):
         with pytest.raises(SynthesisError):
             JackknifeDeviations(*args)

@@ -8,6 +8,7 @@ from effdof import (
     CalibrationError,
     EstimatorVariant,
     SimulationGrid,
+    SynthesisError,
     default_c_grid,
     evaluate_x2_curve,
     find_c_opt,
@@ -33,6 +34,11 @@ class TestDefaultCGrid:
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(CalibrationError):
+            default_c_grid(step=0.0)
+
+    def test_calibration_error_is_a_synthesis_error(self):
+        # One error tree: the CLI maps every SynthesisError to exit 3.
+        with pytest.raises(SynthesisError):
             default_c_grid(step=0.0)
 
     @pytest.mark.parametrize("start, stop, step", [

@@ -314,6 +314,16 @@ class TestCalibrateCommand:
         assert rows[0] == ["C", "X2"]
         assert len(rows) == 12  # header + 11 sampled constants
 
+    def test_failed_study_removes_only_a_curve_file_it_created(self, tmp_path, capsys):
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_text("kept\n")
+        for path in (new, existing):
+            assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
+                         "--cmin", "0", "--cmax", "1e-17", "--step", "1e-18",
+                         "--curve-out", str(path)]) == 3
+        assert not new.exists()
+        assert existing.read_text() == "kept\n"
+
     def test_step_larger_than_interval_exits_2(self, capsys):
         assert main(["calibrate", "--cmin", "2.1", "--cmax", "2.2",
                      "--step", "0.5"]) == 2
@@ -367,6 +377,7 @@ class TestParserBasics:
 _BAD_FILES = {
     "empty.csv": "",
     "short-row.csv": "weight,s2,df\n1,1,1\n1,1\n",
+    "long-row.csv": "weight,s2,df\n1,1,1,7\n1,2,3\n",
     "invalid.json": "[{\"weight\": 1,",
     "object.json": "{\"weight\": 1, \"s2\": 1, \"df\": 1}",
     "no-df.json": "[{\"weight\": 1, \"s2\": 1}]",
@@ -404,8 +415,8 @@ def test_invalid_input_exits_2_before_any_simulation(argv, tmp_path, capsys, mon
     for name, text in _BAD_FILES.items():
         (tmp_path / name).write_text(text)
         paths[name] = str(tmp_path / name)
-    for name in ("generate_table", "generate_tables", "run_calibration",
-                 "ratio_samples_k2_nu1"):
-        monkeypatch.setattr(f"effdof.cli.{name}", lambda *a, **k: pytest.fail("simulation ran"))
+    for name in ("simulation.generate_table", "simulation.generate_tables",
+                 "calibration.run_calibration", "simulation.ratio_samples_k2_nu1"):
+        monkeypatch.setattr(f"effdof.{name}", lambda *a, **k: pytest.fail("simulation ran"))
     assert main([paths.get(a, a) for a in argv]) == 2
     assert "error" in capsys.readouterr().err

@@ -501,3 +501,13 @@ class TestSubstream:
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(SynthesisError, match="seed"):
             substream(seed, 2, 1, "x")
+
+    @pytest.mark.parametrize("k, nu", [(2.7, 1.5), (2.0, 1), (2, 1.0), (True, 1), (-1, 1)])
+    def test_cell_must_be_non_negative_integers(self, k, nu):
+        # 2.7 and 1.5 were once truncated to the stream of (2, 1).
+        with pytest.raises(SynthesisError, match="k|nu"):
+            substream(1, k, nu, "x")
+
+    def test_numpy_integers_draw_the_int_stream(self):
+        draws = substream(1, np.int64(2), np.int32(1), "x").random(3)
+        assert np.array_equal(draws, substream(1, 2, 1, "x").random(3))
