@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .estimators import CalibrationError, EstimatorVariant, SynthesisError, _integer, _shrink
+from .estimators import (CalibrationError, EstimatorVariant, SynthesisError, _finite, _integer,
+                         _shrink)
 from .simulation import _MASK64, SimulationGrid, generate_table
 
 __all__ = [
@@ -67,11 +68,18 @@ class CalibrationCurve:
     x2_min: float
 
 
+def _checked(check, value, name: str, minimum: float = -math.inf):
+    """``check(value, name, minimum)`` of ``estimators``, its error a ``CalibrationError``."""
+    try:
+        return check(value, name, minimum)
+    except SynthesisError as exc:
+        raise CalibrationError(str(exc)) from None
+
+
 def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) -> list[float]:
     """Evenly spaced constants covering the search interval."""
-    start, stop, step = float(start), float(stop), float(step)
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise CalibrationError(f"C grid bounds and step must be finite: {start}, {stop}, {step}")
+    start, stop, step = (_checked(_finite, v, name) for v, name in
+                         ((start, "start"), (stop, "stop"), (step, "step")))
     if step <= 0.0:
         raise CalibrationError(f"step must be > 0, got {step}")
     if start >= stop or step > (stop - start):
@@ -89,12 +97,9 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid,
     from ``grid.seed`` and are shared across constants, so the curve is
     smooth in C.
     """
-    cs = sorted({float(c) for c in c_grid})
+    cs = sorted({_checked(_finite, c, "constant", 0.0) for c in c_grid})
     if not cs:
         raise CalibrationError("empty c_grid")
-    for c in cs:  # each one: NaN does not sort
-        if not 0.0 <= c < math.inf:
-            raise CalibrationError(f"constant {c} must be finite and >= 0")
     # Mean of the denominator-only variant (c = 0); the per-C mean is this
     # value divided by the deterministic shrink term of the cell.
     base = generate_table(grid, EstimatorVariant.adjusted(0.0, 0), max_workers).cells
@@ -116,26 +121,24 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
                       seed: int = 0) -> PolynomialFit:
     """Least-squares polynomial with the degree chosen by k-fold cross validation.
 
-    Candidate degrees run from 1 to ``max_degree``; the winner minimizes the
-    mean RMSE over folds, with ties (within 1e-12) resolved to the smallest
-    degree. Folds are formed by shuffling the points once with ``seed`` and
-    dealing them round-robin, so the partition is deterministic. The winning
-    degree is refit on all points; reported coefficients are in the original
-    coordinates (the fit itself uses a scaled abscissa for conditioning) and
-    ``r_squared`` is 1 - SSE/SST of that final fit.
+    Candidate degrees run from 1 to ``max_degree``, less any whose design is
+    rank-deficient on some fold; the winner minimizes the mean RMSE over
+    folds, with ties (within 1e-12) resolved to the smallest degree. Folds
+    are formed by shuffling the points once with ``seed`` and dealing them
+    round-robin, so the partition is deterministic. The winning degree is
+    refit on all points; reported coefficients are in the original coordinates
+    (the fit itself uses a scaled abscissa for conditioning) and ``r_squared``
+    is 1 - SSE/SST of that final fit.
     """
     pts = list(points)
     n = len(pts)
-    try:
-        max_degree = _integer(max_degree, "max_degree", 1)
-        folds = _integer(folds, "folds", 2)
-        seed = _integer(seed, "seed", -math.inf)
-    except SynthesisError as exc:
-        raise CalibrationError(str(exc)) from None
+    max_degree = _checked(_integer, max_degree, "max_degree", 1)
+    folds = _checked(_integer, folds, "folds", 2)
+    seed = _checked(_integer, seed, "seed")
     if n < folds:
         raise CalibrationError(f"need at least {folds} points, got {n}")
-    xs = np.asarray([p[0] for p in pts], dtype=float)
-    ys = np.asarray([p[1] for p in pts], dtype=float)
+    xs = np.asarray([_checked(_finite, p[0], "C") for p in pts])
+    ys = np.asarray([_checked(_finite, p[1], "X2") for p in pts])
     # Polynomial.fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
     # LAPACK would take a map that is not finite, print to stdout and then fail.
     lo, hi = float(xs.min()), float(xs.max())
@@ -154,10 +157,10 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
             errs = []
             for f in range(folds):
                 train = fold_ids != f
-                if int(train.sum()) < degree + 1:
+                fit, diagnostics = Polynomial.fit(xs[train], ys[train], deg=degree, full=True)
+                if int(diagnostics[1]) < degree + 1:  # rank-deficient, numpy would warn
                     errs = None
                     break
-                fit = Polynomial.fit(xs[train], ys[train], deg=degree)
                 resid = fit(xs[~train]) - ys[~train]
                 errs.append(math.sqrt(float(np.mean(resid ** 2))))
             cv_rmse.append(math.inf if errs is None else float(np.mean(errs)))
@@ -193,21 +196,19 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     value is never larger than the polynomial at any dense-grid point. An
     interval wider than 1000 (over 10^7 + 1 dense points) is an error.
     """
-    lo, hi = float(interval[0]), float(interval[1])
+    lo, hi = (_checked(_finite, interval[i], "interval end") for i in (0, 1))
     if not lo < hi:
         raise CalibrationError(f"invalid interval ({lo}, {hi})")
     if not hi - lo <= 1000.0:  # 10^7 dense steps of 1e-4
         raise CalibrationError(f"interval ({lo}, {hi}) wider than 1000: too many dense points")
-    coefs = [float(c) for c in coefficients]
+    coefs = [_checked(_finite, c, "coefficient") for c in coefficients]
     if len(coefs) < 2:
         raise CalibrationError("polynomial degree must be >= 1")
     poly = Polynomial(coefs)
 
-    n = max(2, int(math.ceil((hi - lo) / 1e-4)) + 1)
-    xs = np.linspace(lo, hi, n)
-    ys = poly(xs)
-    candidates = [lo, hi, float(xs[int(np.argmin(ys))])]
-    for root in np.atleast_1d(poly.deriv().roots()):
+    xs = np.linspace(lo, hi, int(math.ceil((hi - lo) / 1e-4)) + 1)
+    candidates = [float(xs[int(np.argmin(poly(xs)))])]  # linspace returns lo and hi exactly
+    for root in poly.deriv().roots():
         if abs(root.imag) < 1e-9 and lo <= root.real <= hi:
             candidates.append(float(root.real))
 

@@ -256,19 +256,16 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
-# Each adapter's inputs, validated, as the components of its synthesis.
-_ADAPTERS = {
-    "rubin": lambda a: applications.rubin_components(
-        applications.RubinVariance(a.sampling_s2, a.sampling_df, a.imputation_s2, a.m)),
-    "welch": lambda a: applications.welch_components(
-        applications.WelchInput(a.s2_1, a.s2_2, a.n1, a.n2, a.df1, a.df2)),
-    "jackknife": lambda a: applications.jackknife_components(
-        applications.JackknifeDeviations(tuple(a.deviations), a.constant)),
-}
+# Each adapter's input dataclass, whose fields are its flags' dests, and its components.
+_ADAPTERS = {"rubin": (applications.RubinVariance, applications.rubin_components),
+             "welch": (applications.WelchInput, applications.welch_components),
+             "jackknife": (applications.JackknifeDeviations, applications.jackknife_components)}
 
 
 def _cmd_apply(args) -> int:
-    components = _ADAPTERS[args.adapter](args)
+    inputs, components_of = _ADAPTERS[args.adapter]
+    components = components_of(inputs(**{f.name: getattr(args, f.name)
+                                         for f in dataclasses.fields(inputs)}))
     variant = EstimatorVariant.adjusted(args.constant, args.offset)
     record = {"method": f"{args.adapter} {variant.label}",
               "value": variant.evaluate(components).value}

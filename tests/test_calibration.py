@@ -51,6 +51,13 @@ class TestDefaultCGrid:
         with pytest.raises(CalibrationError, match="finite"):
             default_c_grid(start, stop, step)
 
+    @pytest.mark.parametrize("start, stop, step", [
+        ("a", 3.0, 0.1), (None, 3.0, 0.1), (2.0, [3.0], 0.1), (2.0, 3.0, "0.1x"),
+    ], ids=["text-start", "none-start", "list-stop", "text-step"])
+    def test_non_numeric_bounds_rejected(self, start, stop, step):
+        with pytest.raises(CalibrationError, match="must be a number"):
+            default_c_grid(start, stop, step)
+
 
 class TestFitPolynomialCv:
     def test_exact_linear_data(self):
@@ -96,6 +103,23 @@ class TestFitPolynomialCv:
         points = [(float(x), 1.0) for x in np.linspace(lo, hi, 12)]
         with pytest.raises(CalibrationError, match="cannot map"):
             fit_polynomial_cv(points, max_degree=2, folds=2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [(5, "x", 1.0), (5, None, 1.0), (5, 2.5, float("nan")),
+                                     (5, 2.5, "y"), (0, float("inf"), 1.0)],
+                             ids=["text-c", "none-c", "nan-x2", "text-x2", "inf-c"])
+    def test_points_must_be_finite_numbers(self, bad):
+        # A NaN X2 once went through a RankWarning per degree to "no degree is estimable".
+        points = [(2.0 + 0.1 * i, float(i)) for i in range(12)]
+        points[bad[0]] = bad[1:]
+        with pytest.raises(CalibrationError, match="(C|X2) must be"):
+            fit_polynomial_cv(points, max_degree=2, folds=2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_degrees_are_skipped_without_a_warning(self):
+        # Three distinct abscissas support degree 2 at most; numpy warns above it.
+        points = [(float(x), float(x * x)) for x in (0, 1, 2) * 4]
+        assert fit_polynomial_cv(points, max_degree=5, folds=2).degree == 2
 
     def test_fewer_points_than_folds(self):
         with pytest.raises(CalibrationError, match="at least"):
@@ -160,6 +184,20 @@ class TestFindCOpt:
         with pytest.raises(CalibrationError):
             find_c_opt((1.0,), (2.0, 3.2))
 
+    @pytest.mark.parametrize("coefficients, interval", [
+        ((float("nan"), 1.0), (0.0, 1.0)),
+        ((1.0, "a"), (0.0, 1.0)),
+        ((1.0, None), (0.0, 1.0)),
+        ((1.0, 1.0), ("x", 1.0)),
+        ((1.0, 1.0), (0.0, None)),
+        ((1.0, 1.0), (float("nan"), 1.0)),
+    ], ids=["nan-coefficient", "text-coefficient", "none-coefficient", "text-start",
+            "none-end", "nan-start"])
+    def test_non_numeric_or_non_finite_input_rejected(self, coefficients, interval):
+        # A NaN coefficient once returned (lo, inf) without a word.
+        with pytest.raises(CalibrationError, match="must be"):
+            find_c_opt(coefficients, interval)
+
 
 class TestEvaluateX2Curve:
     def test_empty_grid_rejected(self):
@@ -171,7 +209,8 @@ class TestEvaluateX2Curve:
         # The admitted constants are those of the estimator: finite and >= 0.
         grid = SimulationGrid((2, 3), (1, 2), replicates=100, seed=0)
         assert len(evaluate_x2_curve([2.5, 3.3], grid)) == 2
-        for c_grid in ([-1.0, 2.0], [2.0, float("inf")], [float("nan"), 2.0]):
+        for c_grid in ([-1.0, 2.0], [2.0, float("inf")], [float("nan"), 2.0], ["x", 2.0],
+                       [2.0, None]):
             with pytest.raises(CalibrationError):
                 evaluate_x2_curve(c_grid, grid)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from effdof import VarianceComponent, satterthwaite_df
-from effdof.cli import main, read_components
+from effdof.cli import _ADAPTERS, build_parser, main, read_components
 from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
 from effdof.simulation import sample_chi2_matrix
 
@@ -192,6 +193,20 @@ class TestApplyCommands:
     def test_welch_df_validation_exit_3(self, capsys):
         assert main(["apply", "welch", "--s2-1", "1", "--s2-2", "1",
                      "--n1", "10", "--n2", "10", "--df1", "10"]) == 3
+
+    def test_each_namespace_holds_every_field_of_its_dataclass(self):
+        """The adapter's inputs are built from the dests of the same names."""
+        required = {
+            "rubin": ["--m", "5", "--sampling-s2", "4", "--sampling-df", "10",
+                      "--imputation-s2", "1"],
+            "welch": ["--s2-1", "1", "--s2-2", "1", "--n1", "3", "--n2", "3"],
+            "jackknife": ["--deviations", "1", "2"],
+        }
+        assert set(required) == set(_ADAPTERS)
+        for adapter, flags in required.items():
+            args = vars(build_parser().parse_args(["apply", adapter, *flags]))
+            inputs, _ = _ADAPTERS[adapter]
+            assert {f.name for f in dataclasses.fields(inputs)} <= set(args), adapter
 
 
 class TestDensityCommand:

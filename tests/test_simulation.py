@@ -508,6 +508,11 @@ class TestSubstream:
         with pytest.raises(SynthesisError, match="k|nu"):
             substream(1, k, nu, "x")
 
+    @pytest.mark.parametrize("tag", [5, b"x", None])
+    def test_tag_must_be_a_str(self, tag):
+        with pytest.raises(SynthesisError, match="tag"):
+            substream(1, 2, 1, tag)
+
     def test_numpy_integers_draw_the_int_stream(self):
         draws = substream(1, np.int64(2), np.int32(1), "x").random(3)
         assert np.array_equal(draws, substream(1, 2, 1, "x").random(3))
