@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyvander
+from numpy.polynomial.polyutils import mapdomain
 
 from .estimators import (CalibrationError, EstimatorVariant, SynthesisError, _finite, _integer,
                          _shrink)
@@ -151,17 +153,23 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     fold_ids = np.empty(n, dtype=int)
     fold_ids[order] = np.arange(n) % folds
 
+    # Folds fit on the final fit's map, with polyfit's column scaling and rcond.
+    vander = polyvander(mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0])), max_degree)
     try:
         cv_rmse = []
         for degree in range(1, max_degree + 1):
             errs = []
             for f in range(folds):
                 train = fold_ids != f
-                fit, diagnostics = Polynomial.fit(xs[train], ys[train], deg=degree, full=True)
-                if int(diagnostics[1]) < degree + 1:  # rank-deficient, numpy would warn
+                design = vander[train, :degree + 1]
+                scale = np.sqrt(np.square(design).sum(axis=0))
+                scale[scale == 0.0] = 1.0
+                coef, _, rank, _ = np.linalg.lstsq(design / scale, ys[train],
+                                                   rcond=len(design) * np.finfo(float).eps)
+                if rank < degree + 1:  # rank-deficient, numpy's fit would warn
                     errs = None
                     break
-                resid = fit(xs[~train]) - ys[~train]
+                resid = vander[~train, :degree + 1] @ (coef / scale) - ys[~train]
                 errs.append(math.sqrt(float(np.mean(resid ** 2))))
             cv_rmse.append(math.inf if errs is None else float(np.mean(errs)))
 
@@ -194,7 +202,8 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     Dense evaluation at step <= 1e-4 plus the real critical points of the
     polynomial; exact ties resolve to the smaller abscissa. The returned
     value is never larger than the polynomial at any dense-grid point. An
-    interval wider than 1000 (over 10^7 + 1 dense points) is an error.
+    interval wider than 1000 (over 10^7 + 1 dense points) is an error, as is
+    a polynomial or slope that overflows there.
     """
     lo, hi = (_checked(_finite, interval[i], "interval end") for i in (0, 1))
     if not lo < hi:
@@ -207,16 +216,18 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     poly = Polynomial(coefs)
 
     xs = np.linspace(lo, hi, int(math.ceil((hi - lo) / 1e-4)) + 1)
-    candidates = [float(xs[int(np.argmin(poly(xs)))])]  # linspace returns lo and hi exactly
-    for root in poly.deriv().roots():
-        if abs(root.imag) < 1e-9 and lo <= root.real <= hi:
-            candidates.append(float(root.real))
-
-    c_opt, x2_min = lo, math.inf
-    for c in sorted(candidates):
-        value = float(poly(c))
-        if value < x2_min:
-            c_opt, x2_min = c, value
+    with np.errstate(all="ignore"):  # an overflow raises CalibrationError, not a warning
+        dense, slope = poly(xs), poly.deriv()
+        if not (np.isfinite(dense).all() and np.isfinite(slope.coef).all()):
+            raise CalibrationError(f"the polynomial or its slope overflows on ({lo}, {hi})")
+        candidates = [float(xs[int(np.argmin(dense))])]  # linspace returns lo and hi exactly
+        for root in slope.roots():
+            if abs(root.imag) < 1e-9 and lo <= root.real <= hi:
+                candidates.append(float(root.real))
+        values = [(float(poly(c)), c) for c in candidates]
+    if not all(math.isfinite(value) for value, _ in values):
+        raise CalibrationError(f"the polynomial overflows on ({lo}, {hi})")
+    x2_min, c_opt = min(values)  # the smallest value, then the smallest abscissa
     return c_opt, x2_min
 
 

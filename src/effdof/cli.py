@@ -62,9 +62,12 @@ def read_components(path: str) -> list[VarianceComponent]:
         if isinstance(df, str):
             with contextlib.suppress(ValueError):  # VarianceComponent names the bad value
                 df = int(df)
-        if _zero_weight(weight, s2, df):
+        zero_weight = _float_or_none(weight) == 0.0
+        if zero_weight and _float_or_none(s2) is not None and type(df) is int:
             continue
         try:
+            if zero_weight:  # kept only for a bad s2 or df: name that field
+                VarianceComponent(1.0, s2, df)
             components.append(VarianceComponent(weight, s2, df))
         except SynthesisError as exc:
             raise InputError(f"row {row_number}: {exc}") from None
@@ -73,13 +76,12 @@ def read_components(path: str) -> list[VarianceComponent]:
     return components
 
 
-def _zero_weight(weight, s2, df) -> bool:
-    """Whether a row is dropped: weight 0, a numeric s2 and an integer df, of any range."""
+def _float_or_none(value) -> float | None:
+    """``float(value)``, or None for a value that has none."""
     try:
-        float(s2)
-        return float(weight) == 0.0 and type(df) is int
+        return float(value)
     except (TypeError, ValueError):
-        return False
+        return None
 
 
 def _csv_rows(path: str):

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -85,7 +86,11 @@ def substream(seed: int, k: int, nu: int, tag: str) -> np.random.Generator:
     """Deterministic per-cell generator, independent of evaluation order."""
     if not isinstance(tag, str):
         raise SynthesisError(f"tag must be a str, got {tag!r}")
-    tag_id = int.from_bytes(hashlib.blake2b(tag.encode("utf-8"), digest_size=8).digest(), "big")
+    try:
+        tag_bytes = tag.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        raise SynthesisError(f"tag must be valid Unicode, got {tag!r}") from None
+    tag_id = int.from_bytes(hashlib.blake2b(tag_bytes, digest_size=8).digest(), "big")
     entropy = [_integer(seed, "seed", -math.inf) & _MASK64,
                _integer(k, "k", 0), _integer(nu, "nu", 0), tag_id]
     return np.random.default_rng(np.random.SeedSequence(entropy))
@@ -142,9 +147,16 @@ def sample_chi2(df: int, rng: np.random.Generator) -> float:
     return float(rng.chisquare(_integer(df, "df", 1)))
 
 
-def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int) -> np.ndarray:
-    """(n, k) matrix of independent chi-square(nu) draws from one stream."""
-    return rng.chisquare(nu, (n, k))
+def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """(n, k) matrix of independent chi-square(nu) draws from one stream.
+
+    numpy draws each chi-square(nu) as twice a gamma(nu / 2) variate, so drawing
+    into ``out`` (C-contiguous float64) this way gives the same bits and stream state.
+    """
+    if out is None:
+        return rng.chisquare(nu, (n, k))
+    return np.multiply(rng.standard_gamma(nu / 2, out=out), 2.0, out=out)
 
 
 def _factor(method: EstimatorVariant, k: int, nu: int) -> float:
@@ -172,13 +184,16 @@ def _row_sums(s: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ratio_stat(k: int, nu: int, replicates: int,
-                rng: np.random.Generator) -> tuple[float, float]:
+def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
+                buffer: np.ndarray | None = None) -> tuple[float, float]:
     """Mean and standard error of Satterthwaite's ratio over ``replicates`` draws."""
     ratios = np.empty(replicates)
     chunk = max(1, _CHUNK_SCALARS // k)
+    if buffer is None or len(buffer) < min(chunk, replicates) * k:  # one buffer for the call
+        buffer = np.empty(min(chunk, replicates) * k)
     for done in range(0, replicates, chunk):
-        s = sample_chi2_matrix(rng, min(chunk, replicates - done), k, nu)
+        m = min(chunk, replicates - done)
+        s = sample_chi2_matrix(rng, m, k, nu, out=buffer[:m * k].reshape(m, k))
         # The row sums are taken before s is squared in place.
         total = _row_sums(s)
         np.square(total, out=total)
@@ -317,10 +332,14 @@ def generate_tables(grid: SimulationGrid, methods,
     methods, pairs = list(methods), grid.cells()
     # Every factor first: a method that cannot run on the grid fails before any draw.
     factors = [[_factor(method, k, nu) for k, nu in pairs] for method in methods]
+    local = threading.local()  # one draw buffer per worker thread, for this call only
 
     def one_cell(pair: tuple[int, int]) -> tuple[float, float]:
         k, nu = pair
-        return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG))
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty(_CHUNK_SCALARS)
+        return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG),
+                           local.buffer)
 
     stats = _map(one_cell, pairs, max_workers)
     return [MeanDfTable(grid, method, {

@@ -141,6 +141,29 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError, match="must be an integer"):
             fit_polynomial_cv(points, **kwargs)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_degree_matches_per_fold_polynomial_fits(self, seed):
+        # Reference: each fold fitted by Polynomial.fit on its own training span.
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(2.0, 3.2, 60))
+        truth = Polynomial(rng.normal(0.0, 1.0, int(rng.integers(2, 6))))
+        ys = truth((xs - 2.6) / 0.6) + rng.normal(0.0, 10.0 ** rng.uniform(-4, -1), len(xs))
+        points = list(zip(xs.tolist(), ys.tolist()))
+        folds, max_degree = 10, 6
+        fold_ids = np.empty(len(xs), dtype=int)
+        fold_ids[np.random.default_rng(seed).permutation(len(xs))] = np.arange(len(xs)) % folds
+        cv_rmse = []
+        for degree in range(1, max_degree + 1):
+            errs = []
+            for f in range(folds):
+                train = fold_ids != f
+                fit = Polynomial.fit(xs[train], ys[train], deg=degree)
+                errs.append(np.sqrt(np.mean((fit(xs[~train]) - ys[~train]) ** 2)))
+            cv_rmse.append(float(np.mean(errs)))
+        best = min(cv_rmse)
+        expected = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
+        assert fit_polynomial_cv(points, max_degree, folds, seed).degree == expected
+
 
 class TestFindCOpt:
     def test_quadratic_vertex(self):
@@ -183,6 +206,17 @@ class TestFindCOpt:
     def test_degree_zero_rejected(self):
         with pytest.raises(CalibrationError):
             find_c_opt((1.0,), (2.0, 3.2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coefficients, interval", [
+        ((0.0, 1e308, -1e308), (0.0, 10.0)),
+        ((1e308, 1e308), (0.0, 10.0)),
+        ((0.0, 0.0, 1e308, 1e308), (0.0, 1e-3)),
+    ], ids=["values", "values-linear", "slope"])
+    def test_overflow_on_the_interval_is_an_error(self, coefficients, interval):
+        # The first once returned (1.7977, -inf) after numpy overflow warnings.
+        with pytest.raises(CalibrationError, match="overflows"):
+            find_c_opt(coefficients, interval)
 
     @pytest.mark.parametrize("coefficients, interval", [
         ((float("nan"), 1.0), (0.0, 1.0)),

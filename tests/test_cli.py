@@ -41,6 +41,16 @@ class TestReadComponents:
         path = write_csv(tmp_path / "c.csv", ["1,1,1", "0,9,9", "1,1,1"])
         assert len(read_components(path)) == 2
 
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,1.5", "row 2: df must be an integer, got '1.5'"),
+        ("0,x,1", "row 2: s2 must be a number, got 'x'"),
+    ], ids=["df", "s2"])
+    def test_kept_zero_weight_row_names_its_bad_field(self, tmp_path, capsys, row, message):
+        # Such a row once reported "weight must be > 0, got '0'".
+        path = write_csv(tmp_path / "c.csv", [row, "1,1,1"])
+        assert main(["estimate", path]) == 2
+        assert message in capsys.readouterr().err
+
     def test_header_is_required(self, tmp_path):
         path = (tmp_path / "c.csv")
         path.write_text("1,1,1\n2,2,2\n")
@@ -292,9 +302,9 @@ class TestReproduceCommand:
         """The four X2 variants come from one draw pass: one sampler call per cell."""
         calls = []
 
-        def counting(rng, n, k, nu):
+        def counting(rng, n, k, nu, out=None):
             calls.append((k, nu))
-            return sample_chi2_matrix(rng, n, k, nu)
+            return sample_chi2_matrix(rng, n, k, nu, out)
 
         monkeypatch.setattr("effdof.simulation.sample_chi2_matrix", counting)
         assert main(["reproduce", "--table", "x2", "--replicates", "50"]) == 0

@@ -100,6 +100,18 @@ class TestSampleChi2:
         matrix = sample_chi2_matrix(r2, 500, 1, 5)[:, 0]
         assert np.array_equal(scalar, matrix)
 
+    @pytest.mark.parametrize("nu", [1, 2, 3, 80])
+    @pytest.mark.parametrize("n, k", [(1, 1), (999, 7), (819, 160)])
+    def test_drawing_into_out_replays_chisquare(self, nu, n, k):
+        # numpy's chi-square is twice its standard gamma, so both the bits and
+        # the generator state afterwards must match.
+        reference, rng = np.random.default_rng(nu * k), np.random.default_rng(nu * k)
+        expected = reference.chisquare(nu, (n, k))
+        out = np.empty((n, k))
+        assert sample_chi2_matrix(rng, n, k, nu, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
 
 class TestRatioSampling:
     def test_pathwise_bounds(self):
@@ -188,6 +200,21 @@ class TestChunkedKernels:
         whole = _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"))
         monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 37)
         assert _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks")) == whole
+
+    def test_every_chunk_of_every_cell_fills_one_buffer(self, monkeypatch):
+        # 2000 replicates of K=160 make 3 chunks of at most 819 rows per cell.
+        outs = []
+
+        def recording(rng, n, k, nu, out=None):
+            outs.append(out)
+            return sample_chi2_matrix(rng, n, k, nu, out)
+
+        monkeypatch.setattr(simulation, "sample_chi2_matrix", recording)
+        generate_table(SimulationGrid((160,), (1, 3), replicates=2000),
+                       EstimatorVariant.satterthwaite(), max_workers=1)
+        assert len(outs) == 6
+        assert all(out is not None for out in outs)
+        assert len({out.__array_interface__["data"][0] for out in outs}) == 1
 
     def test_ratio_samples_do_not_depend_on_chunk_size(self, monkeypatch):
         whole = ratio_samples_k2_nu1(1000, substream(4, 2, 1, "chunks"))
@@ -510,6 +537,12 @@ class TestSubstream:
 
     @pytest.mark.parametrize("tag", [5, b"x", None])
     def test_tag_must_be_a_str(self, tag):
+        with pytest.raises(SynthesisError, match="tag"):
+            substream(1, 2, 1, tag)
+
+    @pytest.mark.parametrize("tag", ["\ud800", "x\udfff"])
+    def test_tag_must_be_valid_unicode(self, tag):
+        # A lone surrogate once ended in a raw UnicodeEncodeError.
         with pytest.raises(SynthesisError, match="tag"):
             substream(1, 2, 1, tag)
 
