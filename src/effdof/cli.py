@@ -77,11 +77,13 @@ def read_components(path: str) -> list[VarianceComponent]:
 
 
 def _float_or_none(value) -> float | None:
-    """``float(value)``, or None for a value that has none."""
+    """``float(value)``; None for a value with none, inf for an int beyond the doubles."""
     try:
         return float(value)
     except (TypeError, ValueError):
         return None
+    except OverflowError:  # as the same digits read from a CSV file
+        return math.inf
 
 
 def _csv_rows(path: str):

@@ -79,6 +79,8 @@ def _finite(value, name: str, minimum: float = -math.inf) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise SynthesisError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # its repr may exceed Python's digit limit
+        raise SynthesisError(f"{name} must be finite, got an integer beyond the doubles") from None
     if not math.isfinite(x):
         raise SynthesisError(f"{name} must be finite, got {value!r}")
     if x < minimum:
@@ -88,7 +90,7 @@ def _finite(value, name: str, minimum: float = -math.inf) -> float:
 
 def _integer(value, name: str, minimum: float) -> int:
     """``value`` as an int no smaller than ``minimum``; bools and floats such as 2.0 fail."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise SynthesisError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise SynthesisError(f"{name} must be >= {minimum}, got {value!r}")

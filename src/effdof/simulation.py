@@ -13,8 +13,8 @@ and the weighted mean d.f. is nu whatever the weights. A cell therefore
 keeps only that ratio per replicate and scales its mean and standard error
 by the factor the estimator itself returns for K identical components.
 
-Chi-square variates come from ``Generator.chisquare``, numpy's gamma sampler
-(Marsaglia & Tsang 2000, ACM TOMS 26(3)), whose cost does not grow with nu.
+Chi-square(1) variates are squared standard normals; chi-square(nu >= 2) ones are twice
+numpy's gamma(nu / 2) variates (Marsaglia & Tsang 2000), whose cost does not grow with nu.
 The two-component single-d.f. ratio depends only on the polar angle of its
 two normals, so it is drawn from one uniform per draw and a cosine built
 from IEEE basic operations alone, which gives the same bits whichever SIMD
@@ -144,18 +144,19 @@ def sample_chi2(df: int, rng: np.random.Generator) -> float:
     Consumes the stream as one element of ``sample_chi2_matrix`` does, so a
     loop over this function replays a matrix draw bit for bit.
     """
-    return float(rng.chisquare(_integer(df, "df", 1)))
+    return float(sample_chi2_matrix(rng, 1, 1, _integer(df, "df", 1))[0, 0])
 
 
 def sample_chi2_matrix(rng: np.random.Generator, n: int, k: int, nu: int,
                        out: np.ndarray | None = None) -> np.ndarray:
-    """(n, k) matrix of independent chi-square(nu) draws from one stream.
+    """(n, k) matrix of chi-square(nu) draws, into ``out`` (C-contiguous float64) if given.
 
-    numpy draws each chi-square(nu) as twice a gamma(nu / 2) variate, so drawing
-    into ``out`` (C-contiguous float64) this way gives the same bits and stream state.
+    The one chi-square sampler: Z^2 at nu = 1, a third of the cost of numpy's
+    shape-1/2 gamma, else twice a gamma(nu / 2) variate, as ``Generator.chisquare``.
     """
-    if out is None:
-        return rng.chisquare(nu, (n, k))
+    out = np.empty((n, k)) if out is None else out
+    if nu == 1:
+        return np.square(rng.standard_normal(out=out), out=out)
     return np.multiply(rng.standard_gamma(nu / 2, out=out), 2.0, out=out)
 
 

@@ -51,6 +51,10 @@ class TestDefaultCGrid:
         with pytest.raises(CalibrationError, match="finite"):
             default_c_grid(start, stop, step)
 
+    def test_integer_bound_beyond_doubles_rejected(self):
+        with pytest.raises(CalibrationError, match="stop must be finite"):
+            default_c_grid(2, 10**400, 1)
+
     @pytest.mark.parametrize("start, stop, step", [
         ("a", 3.0, 0.1), (None, 3.0, 0.1), (2.0, [3.0], 0.1), (2.0, 3.0, "0.1x"),
     ], ids=["text-start", "none-start", "list-stop", "text-step"])

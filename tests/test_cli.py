@@ -156,6 +156,12 @@ class TestEstimateCommand:
         assert main(["estimate", path]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    def test_json_weight_beyond_doubles_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('[{"weight": 1' + "0" * 400 + ', "s2": 1, "df": 3}]')
+        assert main(["estimate", str(path)]) == 2
+        assert "row 1: weight must be finite" in capsys.readouterr().err
+
     def test_df_near_the_largest_double_exits_0(self, tmp_path, capsys):
         d = int(sys.float_info.max)
         path = write_csv(tmp_path / "c.csv", [f"1,1,{d}"])

@@ -37,6 +37,11 @@ _FILES = {
     "infinity.json": b'[{"weight": Infinity, "s2": 1, "df": 1}]',
     "huge.json": b'[{"weight": 1, "s2": 1e400, "df": 1}, {"weight": 1, "s2": 1, "df": 1}]',
     "big-int.json": f'[{{"weight": 1, "s2": 1, "df": {_BIG}}}]'.encode(),
+    # JSON integers beyond the doubles, up to Python's default digit limit.
+    "int-309-weight.json": f'[{{"weight": {"9" * 309}, "s2": 1, "df": 3}}]'.encode(),
+    "int-400-s2.json": f'[{{"weight": 1, "s2": {"9" * 400}, "df": 3}}]'.encode(),
+    "int-4300-s2-zero-weight.json":
+        f'[{{"weight": 0, "s2": {"9" * 4300}, "df": 3}}, {{"weight": 1, "s2": 1, "df": 3}}]'.encode(),
     "null-fields.json": b'[{"weight": null, "s2": null, "df": null}]',
     "bool-df.json": b'[{"weight": 1, "s2": 1, "df": true}]',
     "nested.json": b'[{"weight": [1], "s2": {"a": 1}, "df": "2"}]',

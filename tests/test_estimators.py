@@ -67,6 +67,13 @@ class TestVarianceComponent:
             with pytest.raises(SynthesisError, match="largest double"):
                 VarianceComponent(1.0, 1.0, df)
 
+    @pytest.mark.parametrize("field", ["weight", "s2"])
+    def test_integer_beyond_doubles_rejected(self, field):
+        # float() raises OverflowError on such an int; 10**5000 has no repr either.
+        for value in (10**400, 10**5000):
+            with pytest.raises(SynthesisError, match=f"{field} must be finite"):
+                VarianceComponent(**{"weight": 1, "s2": 1, "df": 3, field: value})
+
     def test_numpy_integer_df_accepted(self):
         c = VarianceComponent(1.0, 1.0, np.int64(4))
         assert c.df == 4 and isinstance(c.df, int)
@@ -88,6 +95,10 @@ class TestAdjustmentConfig:
     def test_offset_must_be_an_integer_0_or_1(self, p):
         with pytest.raises(SynthesisError, match="p must be"):
             AdjustmentConfig(2.24, p)
+
+    def test_constant_beyond_doubles_rejected(self):
+        with pytest.raises(SynthesisError, match="c must be finite"):
+            AdjustmentConfig(10**400, 0)
 
     def test_numpy_integer_offset_accepted(self):
         config = AdjustmentConfig(2.24, np.int64(1))

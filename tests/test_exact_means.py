@@ -1,0 +1,75 @@
+"""Exact means of Satterthwaite's ratio on equal-d.f. cells, against the cell draws.
+
+For K independent chi-square(nu) components s with T = sum s and Q = sum s^2,
+1/Q = int_0^inf e^(-uQ) du gives E[T^2 / Q] = int_0^inf E[T^2 e^(-uQ)] du, and
+
+    E[T^2 e^(-uQ)] = K b2 b0^(K-1) + K (K-1) b1^2 b0^(K-2),  b_m(u) = E[s^m e^(-u s^2)].
+
+With s = 2y^2, b_m(u) = 2^(m+1) / Gamma(nu/2) int_0^inf y^(nu+2m-1) e^(-y^2 - 4uy^4) dy,
+a smooth integrand taken by Gauss-Legendre on [0, min(sqrt(nu) + 14, 3u^(-1/4))]:
+past either end e^(-y^2), or e^(-4uy^4) <= e^-324, leaves a negligible tail. The
+u integral is the trapezoid rule in t = log u, whose integrand decays at both ends.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from effdof.reference import REFERENCE_K_VALUES
+from effdof.simulation import _CRN_TAG, _ratio_stat, substream
+
+
+def exact_ratio_means(ks, nu: int, nodes: int = 400, h: float = 0.1) -> dict[int, float]:
+    """E[(sum s)^2 / sum s^2] for K iid chi-square(nu) components, for every K in ``ks``."""
+    u = np.exp(np.arange(-40.0, 90.0 + h / 2, h))[:, None]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = np.minimum(math.sqrt(nu) + 14.0, 3.0 * u ** -0.25) / 2
+    y = half * (x + 1.0)
+    y2 = y * y
+    # Quadrature terms of b_0; those of b_m carry y^(2m) more.
+    terms = 2.0 * half * w * np.exp((nu - 1) * np.log(y) - y2 - 4.0 * u * y2 * y2
+                                    - math.lgamma(nu / 2))
+    b0, b1, b2 = (terms.sum(axis=1), 2.0 * (terms * y2).sum(axis=1),
+                  4.0 * (terms * y2 * y2).sum(axis=1))
+    means = {}
+    for k in ks:
+        f = (k * b2 * b0 ** (k - 1) + k * (k - 1) * b1 ** 2 * b0 ** (k - 2)) * u[:, 0]
+        means[k] = h * (f.sum() - (f[0] + f[-1]) / 2)
+    return means
+
+
+@pytest.fixture(scope="module")
+def nu1_exact():
+    return exact_ratio_means(REFERENCE_K_VALUES, 1)
+
+
+@pytest.fixture(scope="module", params=[1, 8191])
+def nu1_cells(request):
+    """(mean, standard error) of each nu = 1 reference cell's ratio, as the tables draw it."""
+    return [_ratio_stat(k, 1, 10_000, substream(request.param, k, 1, _CRN_TAG))
+            for k in REFERENCE_K_VALUES]
+
+
+def _z_scores(cells, exact, shift: float = 1.0) -> list[float]:
+    return [(mean * shift - exact[k]) / se for k, (mean, se) in zip(REFERENCE_K_VALUES, cells)]
+
+
+def test_two_components_single_df_is_sqrt2():
+    assert exact_ratio_means([2], 1)[2] == pytest.approx(math.sqrt(2), abs=1e-12)
+
+
+def test_doubling_nodes_and_halving_step_agrees():
+    coarse, fine = exact_ratio_means([40], 1)[40], exact_ratio_means([40], 1, 800, 0.05)[40]
+    assert fine == pytest.approx(coarse, rel=1e-9)
+
+
+def test_nu1_cells_agree_with_exact_means(nu1_cells, nu1_exact):
+    z = _z_scores(nu1_cells, nu1_exact)
+    assert max(map(abs, z)) <= 4.0, z
+    assert abs(sum(z) / math.sqrt(len(z))) <= 4.0, z
+
+
+def test_half_percent_bias_is_detected(nu1_cells, nu1_exact):
+    z = _z_scores(nu1_cells, nu1_exact, shift=1.005)
+    assert sum(z) / math.sqrt(len(z)) > 4.0, z

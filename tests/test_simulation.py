@@ -33,10 +33,15 @@ from effdof.simulation import (
 
 
 class _ZeroRng:
-    """Stand-in generator whose chi-square and uniform variates are all zero."""
+    """Stand-in generator whose normal, gamma and uniform variates are all zero."""
 
-    def chisquare(self, df, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def standard_normal(self, out):
+        out.fill(0.0)
+        return out
+
+    def standard_gamma(self, shape, out):
+        out.fill(0.0)
+        return out
 
     def random(self, out):
         out.fill(0.0)
@@ -100,13 +105,22 @@ class TestSampleChi2:
         matrix = sample_chi2_matrix(r2, 500, 1, 5)[:, 0]
         assert np.array_equal(scalar, matrix)
 
+    def test_scalar_loop_replays_squared_normals(self):
+        r1, r2 = substream(3, 1, 1, "equiv"), substream(3, 1, 1, "equiv")
+        scalar = np.array([sample_chi2(1, r1) for _ in range(500)])
+        assert scalar.tobytes() == sample_chi2_matrix(r2, 500, 1, 1)[:, 0].tobytes()
+        assert r1.bit_generator.state == r2.bit_generator.state
+
     @pytest.mark.parametrize("nu", [1, 2, 3, 80])
     @pytest.mark.parametrize("n, k", [(1, 1), (999, 7), (819, 160)])
     def test_drawing_into_out_replays_chisquare(self, nu, n, k):
-        # numpy's chi-square is twice its standard gamma, so both the bits and
-        # the generator state afterwards must match.
+        # nu = 1 draws squared normals; numpy's chi-square is twice its standard
+        # gamma. Both the bits and the generator state afterwards must match.
         reference, rng = np.random.default_rng(nu * k), np.random.default_rng(nu * k)
-        expected = reference.chisquare(nu, (n, k))
+        if nu == 1:
+            expected = np.square(reference.standard_normal((n, k)))
+        else:
+            expected = reference.chisquare(nu, (n, k))
         out = np.empty((n, k))
         assert sample_chi2_matrix(rng, n, k, nu, out=out) is out
         assert out.tobytes() == expected.tobytes()
