@@ -19,8 +19,10 @@ deterministic, so the mean for any C is that mean divided by
 ``1 + C / (K * nu)``. This makes the sampled curve smooth in C, which is what
 the polynomial smoother relies on. Tables and calibration share their draws:
 a cell of any table over the same grid and seed comes from the same
-substream, so ``evaluate_x2_curve([c], grid)`` is ``pseudo_x2`` of the
-adjusted(c, 0) table up to rounding.
+substream, and ``evaluate_x2_curve([c], grid)`` and ``pseudo_x2`` of the
+adjusted(c, 0) table add their cells through one reduction; they differ only
+by rounding in the cell means (divided by the shrink term here, multiplied by
+the estimator's factor there).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from numpy.polynomial.polyutils import mapdomain
 
 from .estimators import (CalibrationError, EstimatorVariant, SynthesisError, _finite, _integer,
                          _shrink)
-from .simulation import _MASK64, SimulationGrid, generate_table
+from .simulation import _MASK64, SimulationGrid, _x2, generate_table
 
 __all__ = [
     "CalibrationCurve",
@@ -46,6 +48,9 @@ __all__ = [
     "fit_polynomial_cv",
     "run_calibration",
 ]
+
+# Most constants a C grid may hold, each a row of the fit's 7-column design (56 MB at the limit).
+_MAX_C_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,10 @@ def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) 
         raise CalibrationError(f"step must be > 0, got {step}")
     if start >= stop or step > (stop - start):
         raise CalibrationError("empty C grid: step exceeds the search interval")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # a float: inf if the step is tiny enough
+    if not steps < _MAX_C_POINTS:  # floor(steps) + 1 constants
+        raise CalibrationError(f"C grid of {steps:.4g} steps exceeds {_MAX_C_POINTS} constants")
+    n = int(math.floor(steps)) + 1
     return [start + i * step for i in range(n)]
 
 
@@ -106,16 +114,9 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid,
     # value divided by the deterministic shrink term of the cell.
     base = generate_table(grid, EstimatorVariant.adjusted(0.0, 0), max_workers).cells
 
-    # One pass over the cells for every constant at once, adding cell by cell
-    # in grid order. float_power is the C library's pow, as Python's ``** 2``
-    # on a float is; squaring by multiplication rounds differently in a few
-    # cases per thousand.
     constants = np.asarray(cs)
-    x2 = np.zeros_like(constants)
-    for (k, nu), cell in base.items():
-        reference = float(k * nu)
-        mean_c = cell.mean / _shrink(constants, k, float(nu))
-        x2 += np.float_power(mean_c - reference, 2) / reference
+    x2 = _x2((cell.mean / _shrink(constants, k, float(nu)), cell.expected)
+             for (k, nu), cell in base.items())
     return list(zip(cs, x2.tolist()))
 
 
@@ -141,7 +142,7 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         raise CalibrationError(f"need at least {folds} points, got {n}")
     xs = np.asarray([_checked(_finite, p[0], "C") for p in pts])
     ys = np.asarray([_checked(_finite, p[1], "X2") for p in pts])
-    # Polynomial.fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
+    # The fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
     # LAPACK would take a map that is not finite, print to stdout and then fail.
     lo, hi = float(xs.min()), float(xs.max())
     if not (hi > lo and 0.0 < 2.0 / (hi - lo) < math.inf
@@ -152,39 +153,40 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     order = np.random.default_rng(seed & _MASK64).permutation(n)
     fold_ids = np.empty(n, dtype=int)
     fold_ids[order] = np.arange(n) % folds
-
-    # Folds fit on the final fit's map, with polyfit's column scaling and rcond.
     vander = polyvander(mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0])), max_degree)
+
+    def solve(rows, degree: int):
+        """polyfit's fit (unit-norm columns, rcond = rows * eps); None if rank-deficient."""
+        design = vander[rows, :degree + 1]
+        scale = np.sqrt(np.square(design).sum(axis=0))
+        scale[scale == 0.0] = 1.0
+        coef, _, rank, _ = np.linalg.lstsq(design / scale, ys[rows],
+                                           rcond=len(design) * np.finfo(float).eps)
+        return coef / scale if rank == degree + 1 else None
+
     try:
         cv_rmse = []
         for degree in range(1, max_degree + 1):
             errs = []
             for f in range(folds):
-                train = fold_ids != f
-                design = vander[train, :degree + 1]
-                scale = np.sqrt(np.square(design).sum(axis=0))
-                scale[scale == 0.0] = 1.0
-                coef, _, rank, _ = np.linalg.lstsq(design / scale, ys[train],
-                                                   rcond=len(design) * np.finfo(float).eps)
-                if rank < degree + 1:  # rank-deficient, numpy's fit would warn
-                    errs = None
+                coef = solve(fold_ids != f, degree)
+                if coef is None:  # a degree some fold cannot estimate is skipped
+                    errs.append(math.inf)
                     break
-                resid = vander[~train, :degree + 1] @ (coef / scale) - ys[~train]
+                resid = vander[fold_ids == f, :degree + 1] @ coef - ys[fold_ids == f]
                 errs.append(math.sqrt(float(np.mean(resid ** 2))))
-            cv_rmse.append(math.inf if errs is None else float(np.mean(errs)))
+            cv_rmse.append(float(np.mean(errs)))
 
         best = min(cv_rmse)
         if not math.isfinite(best):
             raise CalibrationError("no degree is estimable with the given folds")
         degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
-
-        final, diagnostics = Polynomial.fit(xs, ys, deg=degree, full=True)
+        coef = solve(slice(None), degree)
     except np.linalg.LinAlgError as exc:
         raise CalibrationError(f"polynomial fit failed: {exc}") from None
-    rank = int(diagnostics[1])
-    if rank < degree + 1:
+    if coef is None:
         raise CalibrationError(f"rank-deficient design at degree {degree}")
-    coefficients = tuple(float(c) for c in final.convert().coef)
+    coefficients = tuple(float(c) for c in Polynomial(coef, domain=[lo, hi]).convert().coef)
     if not all(map(math.isfinite, coefficients)):
         raise CalibrationError(f"polynomial fit has non-finite coefficients {coefficients}")
     pred = Polynomial(coefficients)(xs)

@@ -234,30 +234,31 @@ def _cos_taylor(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ratio_chunks_k2_nu1(replicates: int, rng: np.random.Generator):
-    """The two-component single-d.f. ratio, one chunk of draws at a time.
+def _ratio_sums_k2_nu1(replicates: int, rng: np.random.Generator,
+                       out: np.ndarray | None = None) -> list[float]:
+    """Sum of each block's draws of the two-component single-d.f. ratio, in block order.
 
     Each draw is 2 / (1 + cos^2(pi U / 2)) for one uniform U (see
-    ``ratio_samples_k2_nu1``). Every chunk is computed in one reused buffer,
-    which the caller must consume before asking for the next chunk.
+    ``ratio_samples_k2_nu1``). A block draws chunk by chunk, into ``out`` if
+    given and else into one bounded buffer, and adds the chunk sums left to right.
     """
-    buffer = np.empty((2, min(_RATIO_CHUNK_ROWS, replicates)))
-    for done in range(0, replicates, _RATIO_CHUNK_ROWS):
-        m = min(_RATIO_CHUNK_ROWS, replicates - done)
-        angle, ratio = buffer[0, :m], buffer[1, :m]
-        rng.random(out=angle)
-        angle *= math.pi / 2
-        np.square(_cos_taylor(angle, out=ratio), out=ratio)
-        ratio += 1.0
-        yield np.divide(2.0, ratio, out=ratio)
-
-
-def _ratio_blocks_k2_nu1(replicates: int, rng: np.random.Generator, consume) -> list:
-    """``consume(first draw, chunks)`` of each block, in block order; spawns past one block."""
     starts = range(0, replicates, _RATIO_BLOCK)
     rngs = [rng, *rng.spawn(len(starts) - 1)] if len(starts) > 1 else [rng]
-    return _map(lambda i: consume(starts[i], _ratio_chunks_k2_nu1(
-        min(_RATIO_BLOCK, replicates - starts[i]), rngs[i])), range(len(starts)))
+
+    def block(i: int) -> float:
+        stop, total = min(starts[i] + _RATIO_BLOCK, replicates), 0.0
+        buffer = np.empty((2, min(_RATIO_CHUNK_ROWS, stop - starts[i])))
+        for done in range(starts[i], stop, _RATIO_CHUNK_ROWS):
+            m = min(_RATIO_CHUNK_ROWS, stop - done)
+            angle = rngs[i].random(out=buffer[0, :m])
+            ratio = buffer[1, :m] if out is None else out[done:done + m]
+            angle *= math.pi / 2
+            np.square(_cos_taylor(angle, out=ratio), out=ratio)
+            ratio += 1.0
+            total += float(np.divide(2.0, ratio, out=ratio).sum())
+        return total
+
+    return _map(block, range(len(starts)))
 
 
 def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarray:
@@ -272,13 +273,7 @@ def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarra
     """
     replicates = _integer(replicates, "replicates", 1)
     out = np.empty(replicates)
-
-    def fill(start: int, chunks) -> None:
-        for part in chunks:
-            out[start:start + len(part)] = part
-            start += len(part)
-
-    _ratio_blocks_k2_nu1(replicates, rng, fill)
+    _ratio_sums_k2_nu1(replicates, rng, out)
     return out
 
 
@@ -291,8 +286,7 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     ``replicates``.
     """
     replicates = _integer(replicates, "replicates", 2)
-    return sum(_ratio_blocks_k2_nu1(replicates, rng, lambda _, chunks: sum(
-        float(part.sum()) for part in chunks))) / replicates
+    return sum(_ratio_sums_k2_nu1(replicates, rng)) / replicates
 
 
 def _pool_size(max_workers: int | None, cells: int) -> int:
@@ -358,17 +352,25 @@ def generate_table(grid: SimulationGrid, method: EstimatorVariant,
     return generate_tables(grid, [method], max_workers)[0]
 
 
+def _x2(pairs):
+    """Sum of ``(mean - expected)^2 / expected`` over (mean, expected) pairs, in order.
+
+    A mean may be an array, giving one sum per entry. float_power is the C
+    library's pow, as Python's ``** 2`` is; a product rounds differently.
+    """
+    total = 0.0
+    for mean, expected in pairs:
+        total = total + np.float_power(mean - expected, 2) / expected
+    return total
+
+
 def pseudo_x2(table: MeanDfTable) -> float:
     """Discrepancy of a table from its reference values.
 
     Sums ``(mean - K*nu)^2 / (K*nu)`` over every grid cell; zero exactly when
     every cell mean equals its reference value.
     """
-    total = 0.0
-    for pair in table.grid.cells():
-        try:
-            cell = table.cells[pair]
-        except KeyError:
-            raise ValueError(f"table is missing cell {pair}") from None
-        total += (cell.mean - cell.expected) ** 2 / cell.expected
-    return total
+    cells = [table.cells.get(pair) for pair in table.grid.cells()]
+    if None in cells:
+        raise ValueError(f"table is missing cell {table.grid.cells()[cells.index(None)]}")
+    return float(_x2((cell.mean, cell.expected) for cell in cells))

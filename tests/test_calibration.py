@@ -56,6 +56,20 @@ class TestDefaultCGrid:
             default_c_grid(2, 10**400, 1)
 
     @pytest.mark.parametrize("start, stop, step", [
+        (0.0, 1e308, 1e-300),  # the count overflows to inf
+        (0.0, 3.0, 1e-12),  # 3e12 constants
+        (-1e308, 1e308, 1.0),  # the span itself overflows
+        (0.0, 1.0, 1e-6),  # one constant beyond the limit
+    ])
+    def test_count_beyond_the_limit_rejected_before_allocation(self, start, stop, step):
+        with pytest.raises(CalibrationError, match="exceeds 1000000 constants"):
+            default_c_grid(start, stop, step)
+
+    def test_count_within_the_limit_accepted(self):
+        grid = default_c_grid(0.0, 1.0, 1e-5)
+        assert len(grid) == 100_001 and grid[-1] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("start, stop, step", [
         ("a", 3.0, 0.1), (None, 3.0, 0.1), (2.0, [3.0], 0.1), (2.0, 3.0, "0.1x"),
     ], ids=["text-start", "none-start", "list-stop", "text-step"])
     def test_non_numeric_bounds_rejected(self, start, stop, step):

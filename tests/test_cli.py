@@ -385,7 +385,10 @@ class TestCalibrateCommand:
     ["--cmin", "1e-320", "--cmax", "2e-320", "--step", "1e-321"],
     ["--cmin", "5e307", "--cmax", "1.7e308", "--step", "1e307"],
     ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"],
-], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double", "flat-curve"])
+    ["--cmin", "0", "--cmax", "1e308", "--step", "1e-300"],
+    ["--cmin", "0", "--cmax", "3", "--step", "1e-12"],
+], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double", "flat-curve",
+        "infinite-count", "trillions-of-constants"])
 def test_extreme_c_interval_exits_3(bounds, capfd):
     """A clean exit 3: no traceback, no warning, and no LAPACK message, which
     comes from compiled code straight to the process's stdout."""

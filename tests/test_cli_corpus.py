@@ -76,6 +76,10 @@ _FLAGS = [
      "--cmin", "0", "--cmax", "5e-324", "--step", "5e-324"],
     ["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
      "--cmin", "1e308", "--cmax", "1.7976931348623157e308", "--step", "1e307"],
+    ["calibrate", "--step", "1e-300", "--cmin", "0", "--cmax", "1e308",
+     "--kmax", "2", "--numax", "1", "--replicates", "2"],
+    ["calibrate", "--step", "1e-12", "--cmin", "0", "--cmax", "3",
+     "--kmax", "2", "--numax", "1", "--replicates", "2"],
     ["calibrate", "--kmax", "1"],
     ["calibrate", "--step", "-0.01"],
     ["density", "--replicates", "1", "--bins", "1", "--seed", str(-2 ** 70)],
