@@ -77,7 +77,9 @@ def read_components(path: str) -> list[VarianceComponent]:
 
 
 def _float_or_none(value) -> float | None:
-    """``float(value)``; None for a value with none, inf for an int beyond the doubles."""
+    """``float(value)``; None for a bool or a value with none, inf for an int beyond doubles."""
+    if type(value) is bool:
+        return None
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -87,7 +89,7 @@ def _float_or_none(value) -> float | None:
 
 
 def _csv_rows(path: str):
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None:
             raise InputError("no components")
@@ -103,7 +105,7 @@ def _csv_rows(path: str):
 
 
 def _json_rows(path: str):
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             data = json.load(handle)
         except ValueError as exc:  # also integers beyond the digit limit

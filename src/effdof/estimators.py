@@ -74,8 +74,10 @@ class CalibrationError(SynthesisError):
 
 
 def _finite(value, name: str, minimum: float = -math.inf) -> float:
-    """``value`` as a finite float no smaller than ``minimum``."""
+    """``value`` as a finite float no smaller than ``minimum``; bools fail."""
     try:
+        if type(value) is bool:  # not the number 0 or 1 here
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise SynthesisError(f"{name} must be a number, got {value!r}") from None

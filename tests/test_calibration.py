@@ -139,6 +139,32 @@ class TestFitPolynomialCv:
         points = [(float(x), float(x * x)) for x in (0, 1, 2) * 4]
         assert fit_polynomial_cv(points, max_degree=5, folds=2).degree == 2
 
+    def test_no_estimable_degree_is_an_error(self):
+        # The fold that holds out x = 1 trains on x = 0 alone, so no degree fits it.
+        with pytest.raises(CalibrationError, match="no degree is estimable"):
+            fit_polynomial_cv([(0, 1), (0, 2), (0, 3), (1, 4)], folds=4, max_degree=3)
+
+    def test_span_beyond_the_power_basis_rejected(self):
+        # (2/span)^5 is below the normal doubles; converting once gave R^2 < 0.
+        xs = np.linspace(0.0, 1e150, 50)
+        points = list(zip(xs.tolist(), np.sin(3 * (xs / 1e150 * 2 - 1)).tolist()))
+        with pytest.raises(CalibrationError, match="too wide"):
+            fit_polynomial_cv(points)
+
+    @pytest.mark.parametrize("span", [1e3, 1e10, 1e30, 1e60, 1e80, 1e100, 1e150, 1e200, 1e300])
+    def test_every_admitted_span_keeps_the_fit_in_powers_of_c(self, span):
+        # Reference: the same degree fitted and evaluated in the mapped domain.
+        xs = np.linspace(0.0, span, 50)
+        for curve in (lambda t: np.sin(3 * t), lambda t: t ** 3 - 0.5 * t, lambda t: t * t):
+            points = list(zip(xs.tolist(), curve(xs / span * 2 - 1).tolist()))
+            try:
+                fit = fit_polynomial_cv(points)
+            except CalibrationError:
+                assert span > 1e60  # every narrower span converts exactly
+                continue
+            reference = Polynomial.fit(xs, [y for _, y in points], fit.degree)(xs)
+            assert np.max(np.abs(Polynomial(fit.coefficients)(xs) - reference)) < 1e-9
+
     def test_fewer_points_than_folds(self):
         with pytest.raises(CalibrationError, match="at least"):
             fit_polynomial_cv([(0, 0)] * 5, max_degree=2, folds=10)
@@ -220,6 +246,24 @@ class TestFindCOpt:
             xs = np.linspace(2.0, 3.2, 12001)
             assert x2_min <= float(poly(xs).min()) + 1e-12
             assert 2.0 <= c_opt <= 3.2
+
+    @pytest.mark.parametrize("interval", [(2.01, 3.19), (0.0, 5000.0)], ids=["default", "wide"])
+    def test_exact_search_never_above_dense_grid(self, interval):
+        # Random polynomials of degrees 1-6 with O(1) values on the interval.
+        rng = np.random.default_rng(13)
+        lo, hi = interval
+        xs = np.linspace(lo, hi, 12001)
+        for degree in range(1, 7):
+            for _ in range(10):
+                poly = Polynomial(rng.normal(0, 1, degree + 1), domain=[lo, hi]).convert()
+                c_opt, x2_min = find_c_opt(tuple(poly.coef), interval)
+                assert lo <= c_opt <= hi and x2_min == float(poly(c_opt))
+                assert x2_min <= float(poly(xs).min()) + 1e-12
+
+    @pytest.mark.parametrize("interval", [(3.0, 3.0), (3.0, 2.0)], ids=["empty", "inverted"])
+    def test_invalid_interval_rejected(self, interval):
+        with pytest.raises(CalibrationError, match="invalid interval"):
+            find_c_opt((1.0, 2.0), interval)
 
     def test_degree_zero_rejected(self):
         with pytest.raises(CalibrationError):

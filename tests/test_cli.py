@@ -96,6 +96,20 @@ class TestEstimateCommand:
             payload = payload.get("cells") or [{k: payload[k] for k in ("method", "value")}]
         assert csv_rows == payload
 
+    @pytest.mark.parametrize("name, text", [
+        ("c.csv", "weight,s2,df\n1,2,3\n2,1,5\n"),
+        ("c.json", '[{"weight": 1, "s2": 2, "df": 3}, {"weight": 2, "s2": 1, "df": 5}]'),
+    ], ids=["csv", "json"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, name, text):
+        # Excel's "CSV UTF-8" starts the file with one; it once exited 2.
+        outputs = []
+        for prefix in ("", "\ufeff"):
+            path = tmp_path / name
+            path.write_text(prefix + text, encoding="utf-8")
+            assert main(["estimate", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_markdown_rounds_to_four_decimals(self, tmp_path, capsys):
         path = write_csv(tmp_path / "c.csv", ["1,1,1", "1,1,1"])
         main(["estimate", path, "--method", "adjusted"])
@@ -369,6 +383,13 @@ class TestCalibrateCommand:
                      "--replicates", "300", "--seed", "6"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert 2.0 <= summary["c_opt"] <= 2.5
+
+    def test_interval_wider_than_1000_exits_0(self, capsys):
+        # A dense search once refused any interval wider than 1000.
+        assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
+                     "--cmin", "0", "--cmax", "5000", "--step", "25"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert 0.0 <= summary["c_opt"] <= 5000.0
 
     def test_override_outside_default_interval(self, capsys):
         assert main(["calibrate", "--kmax", "2", "--numax", "2",

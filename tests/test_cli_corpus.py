@@ -109,3 +109,23 @@ def test_exit_code_is_documented_and_no_traceback(argv, tmp_path, capsys):
         paths[name] = str(path)
     assert main([paths.get(a, a) for a in argv]) in (0, 2, 3)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# JSON booleans are not numbers: each row once read as a weight or variance
+# of 1.0 or 0.0, and a false weight dropped its row without a word.
+_BOOL_FILES = {
+    "false-weight": '[{"weight": false, "s2": 1, "df": 3}, {"weight": 1, "s2": 2, "df": 3}]',
+    "true-weight": '[{"weight": true, "s2": 1, "df": 3}, {"weight": 1, "s2": 2, "df": 3}]',
+    "true-s2": '[{"weight": 1, "s2": true, "df": 3}, {"weight": 1, "s2": 2, "df": 3}]',
+    "false-s2": '[{"weight": 1, "s2": false, "df": 3}, {"weight": 1, "s2": 2, "df": 3}]',
+    "zero-weight-false-s2":
+        '[{"weight": 0, "s2": false, "df": 3}, {"weight": 1, "s2": 2, "df": 3}]',
+}
+
+
+@pytest.mark.parametrize("name", _BOOL_FILES)
+def test_json_boolean_weight_or_variance_exits_2(name, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(_BOOL_FILES[name])
+    assert main(["estimate", str(path)]) == 2
+    assert "row 1: " in capsys.readouterr().err

@@ -78,6 +78,13 @@ class TestVarianceComponent:
         c = VarianceComponent(1.0, 1.0, np.int64(4))
         assert c.df == 4 and isinstance(c.df, int)
 
+    @pytest.mark.parametrize("field, value", [("weight", True), ("weight", False),
+                                              ("s2", True), ("s2", False)])
+    def test_bools_are_not_numbers(self, field, value):
+        # True once became a weight or variance of 1.0, and False a variance of 0.0.
+        with pytest.raises(SynthesisError, match=f"{field} must be a number"):
+            VarianceComponent(**{"weight": 1, "s2": 1, "df": 3, field: value})
+
 
 class TestAdjustmentConfig:
     def test_zero_constant_is_legal(self):
@@ -103,6 +110,11 @@ class TestAdjustmentConfig:
     def test_numpy_integer_offset_accepted(self):
         config = AdjustmentConfig(2.24, np.int64(1))
         assert config.p == 1 and isinstance(config.p, int)
+
+    @pytest.mark.parametrize("c", [True, False])
+    def test_bool_constant_rejected(self, c):
+        with pytest.raises(SynthesisError, match="c must be a number"):
+            AdjustmentConfig(c, 0)
 
 
 class TestWeightedMeanDf:
@@ -150,6 +162,10 @@ class TestSatterthwaite:
         assert recommended_df(comps((1, 1, d))).value == float(d)
         with pytest.raises(SynthesisError, match="not finite"):
             satterthwaite_df(comps((1, 1, 10**308), (1, 1, 10**308)))
+
+    def test_item_that_is_not_a_component_rejected(self):
+        with pytest.raises(TypeError, match="expected VarianceComponent, got tuple"):
+            satterthwaite_df([VarianceComponent(1, 1, 2), (1, 1, 2)])
 
     def test_method_label(self):
         est = satterthwaite_df(comps((1, 1, 1)))
