@@ -9,15 +9,33 @@ Library layout:
 
 The package exports exactly the names each of the first four modules lists in
 its own ``__all__``; every public name is declared once, in its module.
+``estimators`` and ``applications`` need no numpy and are imported with the
+package; ``simulation`` and ``calibration`` are imported on first use.
 """
 
-from . import applications, calibration, estimators, simulation
+import importlib
+
+from . import applications, estimators
 from .applications import *  # noqa: F403
-from .calibration import *  # noqa: F403
 from .estimators import *  # noqa: F403
-from .simulation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = sorted(applications.__all__ + calibration.__all__
-                 + estimators.__all__ + simulation.__all__)
+
+def __getattr__(name):
+    """Import the numpy modules on the first name not yet bound here (PEP 562)."""
+    if "__all__" not in globals():
+        # Not ``from . import``: it asks hasattr(effdof, ...), which calls this hook again.
+        lazy = [importlib.import_module(f"{__name__}.{m}") for m in ("simulation", "calibration")]
+        globals().update({n: getattr(m, n) for m in lazy for n in m.__all__})
+        globals()["__all__"] = sorted(applications.__all__ + estimators.__all__
+                                      + [n for m in lazy for n in m.__all__])
+    try:
+        return globals()[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__():
+    __getattr__("__all__")
+    return sorted(globals())

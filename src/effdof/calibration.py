@@ -31,9 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import Polynomial
-from numpy.polynomial.polynomial import polyvander
-from numpy.polynomial.polyutils import mapdomain
 
 from .estimators import (CalibrationError, EstimatorVariant, SynthesisError, _finite, _integer,
                          _shrink)
@@ -134,6 +131,10 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     k-th coefficient carries ``(2 / (hi - lo))**k``, and a span that puts this
     beyond the normal doubles at the chosen degree is an error.
     """
+    # Imported here, so that a process that fits nothing never loads numpy.polynomial.
+    from numpy.polynomial import Polynomial
+    from numpy.polynomial.polynomial import polyvander
+    from numpy.polynomial.polyutils import mapdomain
     pts = list(points)
     n = len(pts)
     max_degree = _checked(_integer, max_degree, "max_degree", 1)
@@ -154,6 +155,8 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     order = np.random.default_rng(seed & _MASK64).permutation(n)
     fold_ids = np.empty(n, dtype=int)
     fold_ids[order] = np.arange(n) % folds
+    # Above n - ceil(n / folds) - 1, the smallest training fold's design is rank-deficient.
+    max_degree = min(max_degree, n - -(-n // folds) - 1)
     vander = polyvander(mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0])), max_degree)
 
     def solve(rows, degree: int):
@@ -178,7 +181,7 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
                 errs.append(math.sqrt(float(np.mean(resid ** 2))))
             cv_rmse.append(float(np.mean(errs)))
 
-        best = min(cv_rmse)
+        best = min(cv_rmse, default=math.inf)
         if not math.isfinite(best):
             raise CalibrationError("no degree is estimable with the given folds")
         degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
@@ -215,6 +218,7 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     coefs = [_checked(_finite, c, "coefficient") for c in coefficients]
     if len(coefs) < 2:
         raise CalibrationError("polynomial degree must be >= 1")
+    from numpy.polynomial import Polynomial  # as in fit_polynomial_cv
     poly = Polynomial(coefs)
 
     with np.errstate(all="ignore"):  # an overflow raises CalibrationError, not a warning

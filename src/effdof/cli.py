@@ -7,7 +7,7 @@ Subcommands:
   calibrate  search the correction constant on a dense (K, nu) grid
   density    histogram (or raw samples) of the two-component single-d.f. ratio
 
-Exit codes: 0 success, 2 input error, 3 numerical or degenerate error.
+Exit codes: 0 success, 2 input error, 3 numerical or degenerate error or out of memory.
 Markdown output rounds to two decimals like the reference tables; CSV and
 JSON carry full precision.
 """
@@ -23,10 +23,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import applications, calibration, simulation
-from .estimators import RECOMMENDED_C, EstimatorVariant, SynthesisError, VarianceComponent
+from . import applications
+from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, RECOMMENDED_C, EstimatorVariant,
+                         SynthesisError, VarianceComponent)
 from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES, REFERENCE_X2
 
 EXIT_OK = 0
@@ -176,13 +175,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    grid = simulation.SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
-                                     replicates=args.replicates, seed=args.seed)
+    from .simulation import SimulationGrid, generate_table, generate_tables, pseudo_x2
+    grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
+                          replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
-        tables = simulation.generate_tables(grid, [v for v, _ in REFERENCE_X2], args.threads)
+        tables = generate_tables(grid, [v for v, _ in REFERENCE_X2], args.threads)
         records = []
         for (variant, published), table in zip(REFERENCE_X2, tables):
-            record = {"method": variant.label, "x2": simulation.pseudo_x2(table)}
+            record = {"method": variant.label, "x2": pseudo_x2(table)}
             if args.diff:
                 # The published summary comes from another, unidentified grid.
                 record["published"] = published
@@ -192,7 +192,7 @@ def _cmd_reproduce(args) -> int:
         return EXIT_OK
 
     method = _TABLE_METHODS[args.table]
-    table = simulation.generate_table(grid, method, max_workers=args.threads)
+    table = generate_table(grid, method, max_workers=args.threads)
     published = REFERENCE_TABLES[args.table]
     cells = {key: {"k": key[0], "nu": key[1], "mean": cell.mean, "std_error": cell.std_error,
                    "expected": cell.expected} for key, cell in table.cells.items()}
@@ -221,8 +221,10 @@ def _cmd_calibrate(args) -> int:
         raise InputError(f"need 0 <= cmin < cmax < inf, got {args.cmin} and {args.cmax}")
     if not 0 < args.step <= args.cmax - args.cmin:
         raise InputError("step larger than the C interval: empty grid")
-    grid = simulation.SimulationGrid(range(2, args.kmax + 1), range(1, args.numax + 1),
-                                     replicates=args.replicates, seed=args.seed)
+    from .calibration import default_c_grid, run_calibration
+    from .simulation import SimulationGrid
+    grid = SimulationGrid(range(2, args.kmax + 1), range(1, args.numax + 1),
+                          replicates=args.replicates, seed=args.seed)
     created = bool(args.curve_out) and not os.path.exists(args.curve_out)
     if args.curve_out:
         # A path that cannot be written fails before the first draw, not after
@@ -230,9 +232,9 @@ def _cmd_calibrate(args) -> int:
         with open(args.curve_out, "a", encoding="utf-8"):
             pass
     try:
-        curve = calibration.run_calibration(
-            grid, calibration.default_c_grid(args.cmin, args.cmax, args.step),
-            folds=args.folds, max_degree=args.max_degree, max_workers=args.threads)
+        curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
+                                folds=args.folds, max_degree=args.max_degree,
+                                max_workers=args.threads)
     except BaseException:
         if created:  # a failed study leaves no empty curve file behind
             os.remove(args.curve_out)
@@ -247,8 +249,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    samples = simulation.ratio_samples_k2_nu1(
-        args.replicates, simulation.substream(args.seed, 2, 1, "ratio"))
+    import numpy as np
+    from .simulation import ratio_samples_k2_nu1, substream
+    samples = ratio_samples_k2_nu1(args.replicates, substream(args.seed, 2, 1, "ratio"))
     if args.raw:
         # The bytes csv.writer would write, one slice of draws at a time.
         sys.stdout.write("sample\r\n")
@@ -336,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--table", choices=("1", "2", "3", "4", "x2"), required=True,
                        help="1 satterthwaite, 2 vd2025, 3 adjusted c=2.24, "
                             "4 adjusted c=2.69, x2 pseudo chi-square summary")
-    p_rep.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
-    p_rep.add_argument("--replicates", type=_at_least(2), default=simulation.DEFAULT_REPLICATES)
+    p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
     _add_threads(p_rep)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
@@ -352,10 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--cmin", type=float, default=2.01)
     p_cal.add_argument("--cmax", type=float, default=3.19)
     p_cal.add_argument("--step", type=float, default=0.01)
-    p_cal.add_argument("--replicates", type=_at_least(2), default=simulation.DEFAULT_REPLICATES)
+    p_cal.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
     p_cal.add_argument("--folds", type=_at_least(2), default=10)
     p_cal.add_argument("--max-degree", type=_at_least(1), default=6)
-    p_cal.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
+    p_cal.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_threads(p_cal)
     p_cal.add_argument("--curve-out", default=None,
                        help="optional path for the sampled (C, X2) curve CSV")
@@ -364,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den = sub.add_parser("density",
                            help="histogram of the two-component single-d.f. ratio")
     p_den.add_argument("--replicates", type=_at_least(1), default=1_000_000)
-    p_den.add_argument("--seed", type=int, default=simulation.DEFAULT_SEED)
+    p_den.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_den.add_argument("--bins", type=_at_least(1), default=50)
     p_den.add_argument("--raw", action="store_true", help="emit raw samples instead of bins")
     p_den.set_defaults(handler=_cmd_density)
@@ -412,6 +415,10 @@ def main(argv=None) -> int:
     except (InputError, OSError, UnicodeDecodeError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, SynthesisError) else EXIT_INPUT
+    except MemoryError as exc:  # a size argument beyond this machine's memory
+        detail = str(exc) or "a size argument is too large"
+        print(f"error: out of memory: {detail}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -32,6 +32,8 @@ import sys
 from dataclasses import dataclass
 
 __all__ = [
+    "DEFAULT_REPLICATES",
+    "DEFAULT_SEED",
     "RECOMMENDED_C",
     "AdjustmentConfig",
     "CalibrationError",
@@ -50,6 +52,10 @@ __all__ = [
 
 #: Default correction constant for the p = 0 adjusted estimator.
 RECOMMENDED_C = 2.24
+
+#: Seed and replicates per simulation cell, kept here so that the CLI's parser needs no numpy.
+DEFAULT_SEED = 1
+DEFAULT_REPLICATES = 10_000
 
 # Method labels carried by DfEstimate and the CLI.
 SATTERTHWAITE = "satterthwaite"
@@ -74,9 +80,9 @@ class CalibrationError(SynthesisError):
 
 
 def _finite(value, name: str, minimum: float = -math.inf) -> float:
-    """``value`` as a finite float no smaller than ``minimum``; bools fail."""
+    """``value`` as a finite float no smaller than ``minimum``; bools, numpy's too, fail."""
     try:
-        if type(value) is bool:  # not the number 0 or 1 here
+        if type(value) is bool or getattr(getattr(value, "dtype", None), "kind", "") == "b":
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):

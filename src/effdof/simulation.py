@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import EstimatorVariant, SynthesisError, VarianceComponent, _integer
+from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, EstimatorVariant, SynthesisError,
+                         VarianceComponent, _integer)
 
 __all__ = [
-    "DEFAULT_REPLICATES",
-    "DEFAULT_SEED",
     "CellStat",
     "MeanDfTable",
     "SimulationGrid",
@@ -63,9 +62,6 @@ __all__ = [
     "simulate_mean_df",
     "substream",
 ]
-
-DEFAULT_SEED = 1
-DEFAULT_REPLICATES = 10_000
 
 _MASK64 = (1 << 64) - 1
 # Upper bound on variates drawn per cell chunk: 2^17 doubles (1 MB), small

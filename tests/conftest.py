@@ -1,8 +1,13 @@
 """Shared factories for randomized inputs used across the test modules."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import effdof
 from effdof import VarianceComponent
 
 
@@ -30,3 +35,13 @@ def make_components(rng: np.random.Generator, k: int | None = None,
 @pytest.fixture
 def component_factory():
     return make_components
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this effdof; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(effdof.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

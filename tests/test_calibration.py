@@ -139,6 +139,20 @@ class TestFitPolynomialCv:
         points = [(float(x), float(x * x)) for x in (0, 1, 2) * 4]
         assert fit_polynomial_cv(points, max_degree=5, folds=2).degree == 2
 
+    def test_degree_capped_by_the_smallest_training_fold(self):
+        # 12 points in 4 folds leave 9 training points: degree 8 at most, which
+        # an exact octic needs. A larger max_degree must change nothing.
+        xs = np.linspace(-1.0, 1.0, 12)
+        ys = np.polynomial.chebyshev.chebval(xs, [0] * 8 + [1])
+        points = list(zip(xs.tolist(), ys.tolist()))
+        fit = fit_polynomial_cv(points, max_degree=8, folds=4)
+        assert fit.degree == 8
+        for max_degree in (9, 10, 1000):
+            assert fit_polynomial_cv(points, max_degree=max_degree, folds=4) == fit
+        # Two points in two folds leave one training point: no degree at all.
+        with pytest.raises(CalibrationError, match="no degree is estimable"):
+            fit_polynomial_cv([(0.0, 1.0), (1.0, 2.0)], folds=2)
+
     def test_no_estimable_degree_is_an_error(self):
         # The fold that holds out x = 1 trains on x = 0 alone, so no degree fits it.
         with pytest.raises(CalibrationError, match="no degree is estimable"):

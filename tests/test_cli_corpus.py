@@ -3,10 +3,15 @@
 Every case runs in-process through ``main``. An exception that escapes it
 would reach the user as a traceback, so the test fails on one, and on any
 exit code other than 0 (success), 2 (input) or 3 (numerical), or on a warning.
+The sizes beyond memory run in one child process with a capped address space.
 """
+
+import json
+import sys
 
 import pytest
 
+from conftest import run_python
 from effdof.cli import main
 
 _BIG = "7" * 5000  # beyond Python's default digit limit for int(str)
@@ -129,3 +134,58 @@ def test_json_boolean_weight_or_variance_exits_2(name, tmp_path, capsys):
     path.write_text(_BOOL_FILES[name])
     assert main(["estimate", str(path)]) == 2
     assert "row 1: " in capsys.readouterr().err
+
+
+# Sizes no machine's memory holds. All run in one child whose address space is
+# capped 1 GiB above what its imports took, so that no case can pass by overcommit
+# and fail later, and none makes a real huge allocation.
+_SIZES = {
+    "density-bins": ["density", "--replicates", "1000", "--bins", str(10 ** 12)],
+    "density-replicates": ["density", "--replicates", str(10 ** 13)],
+    "density-raw-replicates": ["density", "--raw", "--replicates", str(10 ** 13)],
+    "reproduce-replicates": ["reproduce", "--table", "1", "--replicates", str(10 ** 13),
+                             "--threads", "2"],
+    "calibrate-replicates": ["calibrate", "--kmax", "2", "--numax", "1",
+                             "--replicates", str(10 ** 13)],
+}
+# A degree no fold can estimate is never built: 10^8 once asked for 88.7 GiB.
+_SHORT_CALIBRATION = ["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
+                      "--cmin", "2", "--cmax", "2.3"]  # 31 constants: degrees up to 26
+_DEGREES = {f"max-degree-{d}": [*_SHORT_CALIBRATION, "--max-degree", str(d)]
+            for d in (26, 10 ** 8)}
+
+_CAPPED_CHILD = """
+import contextlib, io, json, resource, sys
+import numpy  # with its thread buffers, before the cap
+from effdof.cli import main
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), size + (1 << 30)))
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        results[name] = [main(argv), out.getvalue(), err.getvalue()]
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def capped_runs():
+    return json.loads(run_python(_CAPPED_CHILD, json.dumps({**_SIZES, **_DEGREES})))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the address space size from /proc")
+@pytest.mark.parametrize("name", _SIZES)
+def test_size_beyond_memory_exits_3_with_one_line(name, capped_runs):
+    code, _, err = capped_runs[name]
+    assert code == 3
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the address space size from /proc")
+def test_huge_max_degree_prints_the_bytes_of_the_largest_estimable(capped_runs):
+    assert capped_runs["max-degree-100000000"] == capped_runs["max-degree-26"]
+    assert capped_runs["max-degree-26"][0] == 0

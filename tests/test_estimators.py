@@ -85,6 +85,20 @@ class TestVarianceComponent:
         with pytest.raises(SynthesisError, match=f"{field} must be a number"):
             VarianceComponent(**{"weight": 1, "s2": 1, "df": 3, field: value})
 
+    @pytest.mark.parametrize("field, value", [("weight", np.True_), ("weight", np.False_),
+                                              ("s2", np.True_), ("s2", np.False_),
+                                              ("s2", np.array(True))])
+    def test_numpy_bools_are_not_numbers(self, field, value):
+        # float() reads numpy's bools as 1.0 and 0.0 where it refuses nothing.
+        with pytest.raises(SynthesisError, match=f"{field} must be a number"):
+            VarianceComponent(**{"weight": 1, "s2": 1, "df": 3, field: value})
+
+    def test_numpy_numbers_are_numbers(self):
+        component = VarianceComponent(np.float64(1.5), np.float32(2.0), np.int64(3))
+        assert (component.weight, component.s2, component.df) == (1.5, 2.0, 3)
+        assert type(component.weight) is float and type(component.s2) is float
+        assert type(component.df) is int
+
 
 class TestAdjustmentConfig:
     def test_zero_constant_is_legal(self):
@@ -113,6 +127,11 @@ class TestAdjustmentConfig:
 
     @pytest.mark.parametrize("c", [True, False])
     def test_bool_constant_rejected(self, c):
+        with pytest.raises(SynthesisError, match="c must be a number"):
+            AdjustmentConfig(c, 0)
+
+    @pytest.mark.parametrize("c", [np.True_, np.False_])
+    def test_numpy_bool_constant_rejected(self, c):
         with pytest.raises(SynthesisError, match="c must be a number"):
             AdjustmentConfig(c, 0)
 

@@ -1,6 +1,11 @@
 """Tests of the package's public surface."""
 
+import json
+
+import pytest
+
 import effdof
+from conftest import run_python
 
 PUBLIC_NAMES = [
     "AdjustmentConfig", "CalibrationCurve", "CalibrationError", "CellStat",
@@ -26,3 +31,67 @@ def test_public_names():
     from effdof.simulation import sample_chi2_matrix
     assert callable(sample_chi2_matrix)
     assert ADJUSTED == "adjusted"
+
+
+# The import contract: numpy only where draws happen, numpy.polynomial only where
+# a fit runs. Each case runs in a fresh interpreter, since this one has both.
+_LOADED = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))'
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "FILE", "--format", "json"],
+    ["apply", "welch", "--s2-1", "4", "--s2-2", "9", "--n1", "5", "--n2", "8"],
+], ids=["estimate", "apply-welch"])
+def test_estimate_and_apply_never_import_numpy(argv, tmp_path):
+    path = tmp_path / "components.csv"
+    path.write_text("weight,s2,df\n1,4,3\n2,9,5\n")
+    argv = [str(path) if a == "FILE" else a for a in argv]
+    out = run_python("import sys\nfrom effdof.cli import main\n"
+                     f"assert main(sys.argv[1:]) == 0\n{_LOADED}", *argv)
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_reproduce_never_imports_numpy_polynomial():
+    out = run_python("import sys\nfrom effdof.cli import main\n"
+                     "assert main(['reproduce', '--table', '1', '--replicates', '200']) == 0\n"
+                     'print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)')
+    assert out.splitlines()[-1] == "True False"
+
+
+def test_modules_and_names_loaded_on_first_use():
+    out = run_python(f"""import sys
+import effdof
+{_LOADED}
+print(effdof.simulation.__name__, effdof.calibration.__name__)
+print(effdof.SimulationGrid is effdof.simulation.SimulationGrid,
+      effdof.DEFAULT_SEED is effdof.simulation.DEFAULT_SEED)
+print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)  # no fit has run
+""")
+    assert out.splitlines() == ["[]", "effdof.simulation effdof.calibration", "True True",
+                                "True False"]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    out = run_python("""import effdof
+for _ in range(2):  # before and after the numpy modules are loaded
+    try:
+        effdof.no_such_name
+    except AttributeError as exc:
+        print(exc)
+print(hasattr(effdof, "no_such_name"), effdof.find_c_opt.__name__)
+""")
+    assert out.splitlines() == ["module 'effdof' has no attribute 'no_such_name'"] * 2 + [
+        "False find_c_opt"]
+
+
+def test_dir_and_star_import_give_the_public_names():
+    out = run_python("""import json
+import effdof
+print(json.dumps(dir(effdof)))  # before anything else loads the numpy modules
+namespace = {}
+exec("from effdof import *", namespace)
+print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
+""")
+    listed, star = map(json.loads, out.splitlines())
+    assert set(PUBLIC_NAMES) <= set(listed) and listed == sorted(listed)
+    assert star == PUBLIC_NAMES
