@@ -24,7 +24,8 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     """Import the numpy modules on the first name not yet bound here (PEP 562)."""
-    if "__all__" not in globals():
+    # ``from effdof import cli`` asks for ``cli`` first; it and ``reference`` need no numpy.
+    if "__all__" not in globals() and name not in ("cli", "reference"):
         # Not ``from . import``: it asks hasattr(effdof, ...), which calls this hook again.
         lazy = [importlib.import_module(f"{__name__}.{m}") for m in ("simulation", "calibration")]
         globals().update({n: getattr(m, n) for m in lazy for n in m.__all__})

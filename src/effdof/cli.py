@@ -25,7 +25,7 @@ import sys
 
 from . import applications
 from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, RECOMMENDED_C, EstimatorVariant,
-                         SynthesisError, VarianceComponent)
+                         SynthesisError, VarianceComponent, _finite)
 from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES, REFERENCE_X2
 
 EXIT_OK = 0
@@ -50,9 +50,10 @@ class InputError(ValueError):
 def read_components(path: str) -> list[VarianceComponent]:
     """Load components from a CSV (header weight,s2,df) or a JSON array.
 
-    Rows with weight exactly 0 are dropped (they contribute nothing);
-    negative weights and other invariant violations are reported with their
-    row number. An empty file is an error.
+    Every row must pass the component rules. A row with weight exactly 0
+    contributes nothing and is dropped once its s2 and df pass; negative
+    weights and other rule violations are reported with their row number
+    (a CSV row's line number). An empty file is an error.
     """
     rows = _json_rows(path) if path.endswith(".json") else _csv_rows(path)
     components = []
@@ -61,30 +62,16 @@ def read_components(path: str) -> list[VarianceComponent]:
         if isinstance(df, str):
             with contextlib.suppress(ValueError):  # VarianceComponent names the bad value
                 df = int(df)
-        zero_weight = _float_or_none(weight) == 0.0
-        if zero_weight and _float_or_none(s2) is not None and type(df) is int:
-            continue
         try:
-            if zero_weight:  # kept only for a bad s2 or df: name that field
-                VarianceComponent(1.0, s2, df)
-            components.append(VarianceComponent(weight, s2, df))
+            if _finite(weight, "weight") == 0.0:
+                VarianceComponent(1.0, s2, df)  # adds nothing: dropped once s2 and df pass
+            else:
+                components.append(VarianceComponent(weight, s2, df))
         except SynthesisError as exc:
             raise InputError(f"row {row_number}: {exc}") from None
     if not components:
         raise InputError("no components")
     return components
-
-
-def _float_or_none(value) -> float | None:
-    """``float(value)``; None for a bool or a value with none, inf for an int beyond doubles."""
-    if type(value) is bool:
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-    except OverflowError:  # as the same digits read from a CSV file
-        return math.inf
 
 
 def _csv_rows(path: str):
@@ -96,11 +83,11 @@ def _csv_rows(path: str):
         if sorted(header) != ["df", "s2", "weight"]:
             raise InputError(
                 f"header must be exactly weight,s2,df (any order), got {','.join(header)}")
-        for i, record in enumerate(reader, start=2):
+        for record in reader:
             # DictReader keys extra fields under None and fills missing ones with None.
             if None in record or None in record.values():
-                raise InputError(f"row {i}: expected 3 fields")
-            yield i, {k.strip(): v.strip() for k, v in record.items()}
+                raise InputError(f"row {reader.line_num}: expected 3 fields")
+            yield reader.line_num, {k.strip(): v.strip() for k, v in record.items()}
 
 
 def _json_rows(path: str):

@@ -72,6 +72,8 @@ _CHUNK_SCALARS = 1 << 17
 _RATIO_CHUNK_ROWS = 1 << 15
 # Draws per block of that ratio; each block has its own generator.
 _RATIO_BLOCK = 1 << 18
+# Upper bound on the (K, nu) cells of a grid, as on the constants of a C grid.
+_MAX_CELLS = 10**6
 # Substream tag of every table and calibration cell, whatever the variant.
 _CRN_TAG = "crn"
 # Taylor coefficients (-1)^k / (2k)! of cos, k = 10 down to 0, for Horner's rule.
@@ -94,7 +96,7 @@ def substream(seed: int, k: int, nu: int, tag: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Cross product of component counts and component d.f. for one study."""
+    """Cross product of component counts and component d.f. for one study; at most 10^6 cells."""
 
     k_values: tuple[int, ...]
     nu_values: tuple[int, ...]
@@ -102,6 +104,9 @@ class SimulationGrid:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        cells = len(self.k_values) * len(self.nu_values)  # before a range is walked
+        if cells > _MAX_CELLS:
+            raise SynthesisError(f"grid of {cells} cells exceeds {_MAX_CELLS}")
         ks = tuple(sorted({_integer(k, "component count", 2) for k in self.k_values}))
         nus = tuple(sorted({_integer(nu, "component d.f.", 1) for nu in self.nu_values}))
         if not ks or not nus:

@@ -2,8 +2,8 @@
 
 Each test prints one `criterion N: PASS/FAIL` line (run with `pytest -s` to
 see them as they complete). Generating the five 64-cell reference tables at
-10000 replicates dominates the runtime; the whole module takes about a
-minute.
+10000 replicates dominates the runtime; the whole module takes a few
+seconds (3.6 s on a 2-vCPU machine).
 
 Criterion 4 note: besides the ordering and `X2(satterthwaite) > 10` clauses,
 the magnitude clause compares each simulated X2 (tables 1, 2 and 4) with the

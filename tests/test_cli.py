@@ -51,6 +51,29 @@ class TestReadComponents:
         assert main(["estimate", path]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("c.csv", "weight,s2,df\n0,-5,3\n1,1,1\n", "row 2: s2 must be >= 0, got '-5'"),
+        ("c.csv", "weight,s2,df\n0,nan,1\n1,1,1\n", "row 2: s2 must be finite, got 'nan'"),
+        ("c.csv", "weight,s2,df\n0,1e400,1\n1,1,1\n", "row 2: s2 must be finite, got '1e400'"),
+        ("c.csv", "weight,s2,df\n0,1,0\n1,1,1\n", "row 2: df must be >= 1, got 0"),
+        ("c.csv", "weight,s2,df\n0,1,-3\n1,1,1\n", "row 2: df must be >= 1, got -3"),
+        ("c.json", '[{"weight": 0, "s2": -1, "df": 0}, {"weight": 1, "s2": 1, "df": 1}]',
+         "row 1: s2 must be >= 0, got -1"),
+    ], ids=["s2-negative", "s2-nan", "s2-overflow", "df-0", "df-negative", "json"])
+    def test_zero_weight_row_passes_the_component_rules(self, tmp_path, capsys, name, text,
+                                                        message):
+        # Such rows were once dropped without a word.
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["estimate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_csv_row_number_is_its_line_number(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_text("weight,s2,df\n1,1,1\n\n\n1,x,1\n")
+        assert main(["estimate", str(path)]) == 2
+        assert "row 5: s2 must be a number, got 'x'" in capsys.readouterr().err
+
     def test_header_is_required(self, tmp_path):
         path = (tmp_path / "c.csv")
         path.write_text("1,1,1\n2,2,2\n")
@@ -390,6 +413,17 @@ class TestCalibrateCommand:
                      "--cmin", "0", "--cmax", "5000", "--step", "25"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert 0.0 <= summary["c_opt"] <= 5000.0
+
+    @pytest.mark.parametrize("argv", [
+        ["--kmax", "100000", "--numax", "100000", "--replicates", "2"],
+        ["--kmax", "1000000000000"],
+    ], ids=["10^10-cells", "kmax-10^12"])
+    def test_grid_of_more_than_a_million_cells_exits_3(self, capsys, argv):
+        # The first once built every cell before it ran out of memory; the
+        # second never finished collecting its K values.
+        assert main(["calibrate", *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid of ") and err.count("\n") == 1
 
     def test_override_outside_default_interval(self, capsys):
         assert main(["calibrate", "--kmax", "2", "--numax", "2",

@@ -51,6 +51,13 @@ def test_estimate_and_apply_never_import_numpy(argv, tmp_path):
     assert out.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("statement", ["from effdof import cli", "from effdof import reference"])
+def test_numpy_free_submodules_import_without_numpy(statement):
+    # The package's lazy-name hook once loaded numpy when the import system asked for them.
+    out = run_python(f"import sys\n{statement}\n{_LOADED}")
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_reproduce_never_imports_numpy_polynomial():
     out = run_python("import sys\nfrom effdof.cli import main\n"
                      "assert main(['reproduce', '--table', '1', '--replicates', '200']) == 0\n"

@@ -375,6 +375,14 @@ class TestSimulationGrid:
         assert grid.nu_values == (1, 3)
         assert grid.cells() == [(2, 1), (2, 3), (4, 1), (4, 3), (8, 1), (8, 3)]
 
+    def test_more_than_a_million_cells_refused(self):
+        with pytest.raises(SynthesisError, match="grid of 2000000 cells exceeds 1000000"):
+            SimulationGrid(range(2, 2002), range(1, 1001))
+
+    def test_calibrate_1000_by_1000_admitted(self):
+        grid = SimulationGrid(range(2, 1001), range(1, 1001))
+        assert len(grid.k_values) * len(grid.nu_values) == 999_000
+
     @pytest.mark.parametrize("kwargs", [
         {"k_values": (), "nu_values": (1,)},
         {"k_values": (1, 2), "nu_values": (1,)},
