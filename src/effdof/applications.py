@@ -8,6 +8,7 @@ callers can inspect or reuse them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .estimators import (
@@ -134,6 +135,9 @@ class JackknifeDeviations:
         except TypeError:
             raise SynthesisError(f"deviations must be a sequence of numbers, "
                                  f"got {self.deviations!r}") from None
+        for d in devs:  # each s2 = d * d must stay in the doubles too
+            if not math.isfinite(d * d):
+                raise SynthesisError(f"deviations must have a finite square, got {d!r}")
         if len(devs) < 2:
             raise SynthesisError(f"need at least 2 deviations, got {len(devs)}")
         object.__setattr__(self, "deviations", devs)

@@ -61,13 +61,14 @@ class PolynomialFit:
 
 @dataclass(frozen=True)
 class CalibrationCurve:
-    """Sampled discrepancy curve with its polynomial smoother and minimizer."""
+    """Sampled (C, X2) points, their polynomial fit, and the fit's minimizer.
 
-    c_points: tuple[float, ...]
-    x2_points: tuple[float, ...]
-    fitted_degree: int
-    coefficients: tuple[float, ...]
-    r_squared: float
+    ``x2_min`` is the fitted polynomial's minimum over the sampled span, not a
+    sampled X2, so it can fall below 0 where the curve touches 0.
+    """
+
+    points: tuple[tuple[float, float], ...]
+    fit: PolynomialFit
     c_opt: float
     x2_min: float
 
@@ -241,12 +242,4 @@ def run_calibration(grid: SimulationGrid, c_grid=None, folds: int = 10,
     points = evaluate_x2_curve(cs, grid, max_workers=max_workers)
     fit = fit_polynomial_cv(points, max_degree=max_degree, folds=folds, seed=grid.seed)
     c_opt, x2_min = find_c_opt(fit.coefficients, (points[0][0], points[-1][0]))
-    return CalibrationCurve(
-        c_points=tuple(c for c, _ in points),
-        x2_points=tuple(v for _, v in points),
-        fitted_degree=fit.degree,
-        coefficients=fit.coefficients,
-        r_squared=fit.r_squared,
-        c_opt=c_opt,
-        x2_min=x2_min,
-    )
+    return CalibrationCurve(tuple(points), fit, c_opt, x2_min)

@@ -228,9 +228,9 @@ def _cmd_calibrate(args) -> int:
         raise
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle).writerows([("C", "X2"), *zip(curve.c_points, curve.x2_points)])
-    print(json.dumps({"size": [args.kmax, args.numax], "degree": curve.fitted_degree,
-                      "r_squared": curve.r_squared, "c_opt": curve.c_opt,
+            csv.writer(handle).writerows([("C", "X2"), *curve.points])
+    print(json.dumps({"size": [args.kmax, args.numax], "degree": curve.fit.degree,
+                      "r_squared": curve.fit.r_squared, "c_opt": curve.c_opt,
                       "x2_min": curve.x2_min}, indent=2))
     return EXIT_OK
 

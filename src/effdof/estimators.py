@@ -288,14 +288,14 @@ class EstimatorVariant:
     def __post_init__(self) -> None:
         if self.method == SATTERTHWAITE:
             if self.config is not None:
-                raise ValueError("satterthwaite takes no adjustment config")
+                raise SynthesisError("satterthwaite takes no adjustment config")
         elif self.method in (VON_DAVIER_2025, ADJUSTED):
             if self.config is None:
-                raise ValueError(f"{self.method} requires an adjustment config")
+                raise SynthesisError(f"{self.method} requires an adjustment config")
             if self.method == VON_DAVIER_2025 and self.config != _VD2025:
-                raise ValueError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
+                raise SynthesisError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
         else:
-            raise ValueError(f"unknown method {self.method!r}")
+            raise SynthesisError(f"unknown method {self.method!r}")
 
     @classmethod
     def satterthwaite(cls) -> "EstimatorVariant":

@@ -337,7 +337,7 @@ def generate_tables(grid: SimulationGrid, methods,
         return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG),
                            local.buffer)
 
-    stats = _map(one_cell, pairs, max_workers)
+    stats = _map(one_cell, pairs, max_workers) if methods else []  # no method, no draw
     return [MeanDfTable(grid, method, {
         (k, nu): CellStat(mean * f, std_error * f, float(k * nu))
         for (k, nu), (mean, std_error), f in zip(pairs, stats, fs)})

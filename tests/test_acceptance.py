@@ -36,6 +36,7 @@ from effdof import (
     find_c_opt,
     fit_polynomial_cv,
     generate_table,
+    generate_tables,
     jackknife_components,
     jackknife_df,
     pseudo_x2,
@@ -77,8 +78,8 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def tables():
-    return {key: generate_table(GRID, variant, max_workers=WORKERS)
-            for key, variant in TABLE_VARIANTS.items()}
+    return dict(zip(TABLE_VARIANTS, generate_tables(GRID, list(TABLE_VARIANTS.values()),
+                                                    max_workers=WORKERS)))
 
 
 def table_mismatches(table, published):
@@ -202,17 +203,17 @@ def test_criterion_5_calibration_studies():
         curve = run_calibration(grid, max_workers=WORKERS)
         results[size] = (curve, target)
     ok = all(abs(curve.c_opt - target) <= 0.06
-             and curve.r_squared > 0.99 and curve.fitted_degree <= 6
+             and curve.fit.r_squared > 0.99 and curve.fit.degree <= 6
              for curve, target in results.values())
     detail = ", ".join(
         f"({k},{k}) c_opt={curve.c_opt:.4f} (target {target}±0.06) "
-        f"R2={curve.r_squared:.4f} deg={curve.fitted_degree}"
+        f"R2={curve.fit.r_squared:.4f} deg={curve.fit.degree}"
         for (k, _), (curve, target) in results.items())
     report("5 (calibration)", ok, detail)
     for curve, target in results.values():
         assert abs(curve.c_opt - target) <= 0.06
-        assert curve.r_squared > 0.99
-        assert curve.fitted_degree <= 6
+        assert curve.fit.r_squared > 0.99
+        assert curve.fit.degree <= 6
 
 
 def test_relative_x2_puts_c_opt_in_criterion_5_band():

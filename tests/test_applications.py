@@ -164,6 +164,12 @@ class TestJackknife:
         with pytest.raises(SynthesisError):
             JackknifeDeviations(*args)
 
+    @pytest.mark.parametrize("big", [1e200, -1.5e154])
+    def test_deviation_whose_square_overflows(self, big):
+        with pytest.raises(SynthesisError) as exc:
+            JackknifeDeviations((1.0, big))
+        assert "deviations" in str(exc.value) and repr(big) in str(exc.value)
+
     def test_components_have_unit_weight_single_df(self):
         for comp in jackknife_components(JackknifeDeviations((0.3, -0.7))):
             assert comp.weight == 1.0 and comp.df == 1

@@ -1,5 +1,7 @@
 """Tests for the constant-calibration pipeline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -374,18 +376,29 @@ class TestRunCalibration:
     def test_curve_invariants_small_study(self):
         grid = SimulationGrid(tuple(range(2, 4)), (1, 2, 3), replicates=1500, seed=6)
         curve = run_calibration(grid, [round(2.05 + 0.05 * i, 2) for i in range(22)])
-        assert curve.c_points[0] <= curve.c_opt <= curve.c_points[-1]
+        assert curve.points[0][0] <= curve.c_opt <= curve.points[-1][0]
         assert curve.x2_min == pytest.approx(
-            float(Polynomial(curve.coefficients)(curve.c_opt)), abs=1e-12)
-        assert 1 <= curve.fitted_degree <= 6
+            float(Polynomial(curve.fit.coefficients)(curve.c_opt)), abs=1e-12)
+        assert 1 <= curve.fit.degree <= 6
         # Shared draws make the sampled curve smooth, so the fit is tight.
-        assert curve.r_squared > 0.999
+        assert curve.fit.r_squared > 0.999
+
+    def test_curve_holds_the_stages_outputs(self):
+        """The curve's points and fit are what the stages return, not copies of their parts."""
+        grid = SimulationGrid((2, 3), (1, 2), replicates=300, seed=9)
+        cs = [2.0 + 0.1 * i for i in range(12)]
+        curve = run_calibration(grid, cs)
+        assert curve.points == tuple(evaluate_x2_curve(cs, grid))
+        assert curve.fit == fit_polynomial_cv(curve.points, seed=grid.seed)
+        assert (curve.c_opt, curve.x2_min) == find_c_opt(
+            curve.fit.coefficients, (curve.points[0][0], curve.points[-1][0]))
+        assert [f.name for f in dataclasses.fields(curve)] == ["points", "fit", "c_opt", "x2_min"]
 
     def test_negative_seed_runs(self):
         """A negative grid seed draws its cells and deals its folds like any other."""
         grid = SimulationGrid((2, 3), (1, 2), replicates=200, seed=-3)
         curve = run_calibration(grid, [2.0 + 0.1 * i for i in range(12)])
-        assert curve.c_points[0] <= curve.c_opt <= curve.c_points[-1]
+        assert curve.points[0][0] <= curve.c_opt <= curve.points[-1][0]
 
     def test_study_seed_stability_at_small_size(self):
         results = []

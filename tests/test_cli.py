@@ -247,6 +247,11 @@ class TestApplyCommands:
         assert main(["apply", "welch", "--s2-1", "1", "--s2-2", "1",
                      "--n1", "10", "--n2", "10", "--df1", "10"]) == 3
 
+    def test_jackknife_deviation_whose_square_overflows_exit_3(self, capsys):
+        assert main(["apply", "jackknife", "--deviations", "1e200", "1e200"]) == 3
+        err = capsys.readouterr().err
+        assert "deviations" in err and "1e+200" in err and "s2" not in err
+
     def test_each_namespace_holds_every_field_of_its_dataclass(self):
         """The adapter's inputs are built from the dests of the same names."""
         required = {

@@ -287,6 +287,16 @@ class TestEstimatorVariant:
         with pytest.raises(ValueError):
             EstimatorVariant("vd2025", AdjustmentConfig(3.0, 0))
 
+    @pytest.mark.parametrize("method, config", [
+        ("satterthwaite", AdjustmentConfig(1.0, 0)),
+        ("adjusted", None),
+        ("mystery", None),
+        ("vd2025", AdjustmentConfig(3.0, 0)),
+    ])
+    def test_invalid_combinations_raise_synthesis_error(self, method, config):
+        with pytest.raises(SynthesisError):
+            EstimatorVariant(method, config)
+
 
 def _all_variant_values(components):
     values = [satterthwaite_df(components).value,

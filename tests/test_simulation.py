@@ -431,6 +431,13 @@ class TestGenerateTable:
         together = generate_tables(grid, [classic, adjusted], max_workers=2)
         assert [t.cells for t in together] == [base.cells, table.cells]
 
+    def test_no_methods_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("generate_tables drew components for no method")
+
+        monkeypatch.setattr(simulation, "sample_chi2_matrix", no_draw)
+        assert generate_tables(SimulationGrid((2, 4, 9), (1, 3), replicates=200), []) == []
+
     def test_parameter_identical_variants_share_streams(self):
         grid = SimulationGrid((2, 4), (1, 3), replicates=1500, seed=21)
         by_name = generate_table(grid, EstimatorVariant.von_davier_2025())
