@@ -26,7 +26,7 @@ import sys
 from . import applications
 from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, RECOMMENDED_C, EstimatorVariant,
                          SynthesisError, VarianceComponent, _finite)
-from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES, REFERENCE_X2
+from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -162,20 +162,20 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    from .simulation import SimulationGrid, generate_table, generate_tables, pseudo_x2
+    from .simulation import SimulationGrid, _x2, generate_table, generate_tables, pseudo_x2
     grid = SimulationGrid(REFERENCE_K_VALUES, REFERENCE_NU_VALUES,
                           replicates=args.replicates, seed=args.seed)
     if args.table == "x2":
-        tables = generate_tables(grid, [v for v, _ in REFERENCE_X2], args.threads)
+        tables = generate_tables(grid, _TABLE_METHODS.values(), args.threads)
         records = []
-        for (variant, published), table in zip(REFERENCE_X2, tables):
-            record = {"method": variant.label, "x2": pseudo_x2(table)}
-            if args.diff:
-                # The published summary comes from another, unidentified grid.
-                record["published"] = published
+        for table_id, table in zip(_TABLE_METHODS, tables):
+            record = {"method": table.method.label, "x2": pseudo_x2(table)}
+            if args.diff:  # the same sum over that table's published cells
+                published = REFERENCE_TABLES[table_id]
+                record["published"] = float(_x2((published[k, nu], float(k * nu))
+                                                for k, nu in grid.cells()))
             records.append(record)
-        headers = ("method", "x2", "published (other grid)")[:len(records[0])]
-        _emit(args.format, records, _method_table(records, headers, digits=5))
+        _emit(args.format, records, _method_table(records, list(records[0]), digits=5))
         return EXIT_OK
 
     method = _TABLE_METHODS[args.table]
@@ -325,14 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="regenerate a reference simulation table")
     p_rep.add_argument("--table", choices=("1", "2", "3", "4", "x2"), required=True,
                        help="1 satterthwaite, 2 vd2025, 3 adjusted c=2.24, "
-                            "4 adjusted c=2.69, x2 pseudo chi-square summary")
+                            "4 adjusted c=2.69, x2 pseudo chi-square of tables 1-4")
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_rep.add_argument("--replicates", type=_at_least(2), default=DEFAULT_REPLICATES)
     _add_threads(p_rep)
     p_rep.add_argument("--diff", action="store_true",
                        help="also print the published values and per-cell z-scores; "
-                            "for x2 the published summary comes from another, "
-                            "unidentified grid")
+                            "for x2, the pseudo chi-square of each table's published cells")
     _add_format(p_rep)
     p_rep.set_defaults(handler=_cmd_reproduce)
 

@@ -290,8 +290,8 @@ class EstimatorVariant:
             if self.config is not None:
                 raise SynthesisError("satterthwaite takes no adjustment config")
         elif self.method in (VON_DAVIER_2025, ADJUSTED):
-            if self.config is None:
-                raise SynthesisError(f"{self.method} requires an adjustment config")
+            if not isinstance(self.config, AdjustmentConfig):
+                raise SynthesisError(f"{self.method} needs an AdjustmentConfig, not {self.config!r}")
             if self.method == VON_DAVIER_2025 and self.config != _VD2025:
                 raise SynthesisError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
         else:

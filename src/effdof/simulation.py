@@ -373,5 +373,5 @@ def pseudo_x2(table: MeanDfTable) -> float:
     """
     cells = [table.cells.get(pair) for pair in table.grid.cells()]
     if None in cells:
-        raise ValueError(f"table is missing cell {table.grid.cells()[cells.index(None)]}")
+        raise SynthesisError(f"table is missing cell {table.grid.cells()[cells.index(None)]}")
     return float(_x2((cell.mean, cell.expected) for cell in cells))

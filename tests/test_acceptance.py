@@ -11,8 +11,8 @@ X2 of the published cells of the same 8x8 grid. The two must agree within a
 band of three delta-method standard errors of their difference (both sides
 are 10000-replicate means, so each cell contributes twice its simulated
 variance) plus the effect of the published cells' +-0.005 rounding. The
-published X2 summary in `REFERENCE_X2` (0.02016 for c=2.69) comes from a
-grid that is not identified, so it is not a bound on this grid: the
+paper's own X2 summary (0.02016 for c=2.69), no longer shipped, comes from
+a grid that is not identified, so it is not a bound on this grid: the
 published c=2.69 cells themselves give X2 of about 0.23 here.
 """
 

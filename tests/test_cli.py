@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from effdof import VarianceComponent, satterthwaite_df
-from effdof.cli import _ADAPTERS, build_parser, main, read_components
+from effdof.cli import _ADAPTERS, _TABLE_METHODS, build_parser, main, read_components
 from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
-from effdof.simulation import sample_chi2_matrix
+from effdof.simulation import _x2, sample_chi2_matrix
+from test_acceptance import published_x2
 
 
 def write_csv(path, rows, header="weight,s2,df"):
@@ -331,20 +332,41 @@ class TestReproduceCommand:
         assert len(payload["cells"]) == 64
 
     def test_x2_summary_rows(self, capsys):
+        """One row per published table, its variant's label and its published cells' X2."""
         assert main(["reproduce", "--table", "x2", "--replicates", "400",
                      "--seed", "4", "--format", "csv", "--diff"]) == 0
         rows = parse_csv(capsys.readouterr().out)
-        assert [r["method"] for r in rows] == [
-            "satterthwaite", "vd2025", "adjusted(c=2.25, p=0)", "adjusted(c=2.69, p=0)"]
-        assert float(rows[0]["published"]) == 13.27251
+        assert [r["method"] for r in rows] == [v.label for v in _TABLE_METHODS.values()] == [
+            "satterthwaite", "vd2025", "adjusted(c=2.24, p=0)", "adjusted(c=2.69, p=0)"]
+        assert [f"{float(r['published']):.5f}" for r in rows] == [
+            "539.97150", "1.31998", "0.40057", "0.22813"]
         assert all(float(r["x2"]) >= 0.0 for r in rows)
 
-    def test_x2_markdown_labels_published_grid(self, capsys):
+    def test_x2_markdown_published_column(self, capsys):
         assert main(["reproduce", "--table", "x2", "--replicates", "400",
                      "--seed", "4", "--diff"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "| method | x2 | published (other grid) |"
-        assert lines[2].endswith("| 13.27251 |")
+        assert lines[0] == "| method | x2 | published |"
+        assert [line.rsplit(" | ", 1)[1] for line in lines[2:]] == [
+            "539.97150 |", "1.31998 |", "0.40057 |", "0.22813 |"]
+
+    def test_x2_rows_are_the_x2_of_tables_1_to_4(self, capsys):
+        """Row i is the pseudo chi-square of the cells `--table i` prints, bit for bit."""
+        options = ["--replicates", "300", "--seed", "4", "--format", "json"]
+        assert main(["reproduce", "--table", "x2", *options]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == len(_TABLE_METHODS)
+        for table_id, row in zip(_TABLE_METHODS, rows):
+            assert main(["reproduce", "--table", table_id, *options]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert row["method"] == payload["method"]
+            assert row["x2"] == float(_x2((c["mean"], c["expected"]) for c in payload["cells"]))
+
+    def test_x2_published_column_is_the_x2_of_the_published_cells(self, capsys):
+        assert main(["reproduce", "--table", "x2", "--replicates", "40", "--diff",
+                     "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["published"] for r in rows] == [published_x2(t) for t in _TABLE_METHODS]
 
     def test_x2_draws_one_table(self, capsys, monkeypatch):
         """The four X2 variants come from one draw pass: one sampler call per cell."""

@@ -6,6 +6,7 @@ written out as the arithmetic expressions they came from.
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,6 +293,11 @@ class TestEstimatorVariant:
         ("adjusted", None),
         ("mystery", None),
         ("vd2025", AdjustmentConfig(3.0, 0)),
+        # A config that is not an AdjustmentConfig once built a variant whose
+        # .label and .evaluate then failed.
+        ("adjusted", 5),
+        ("adjusted", (2.24, 0)),
+        ("vd2025", 2.0),
     ])
     def test_invalid_combinations_raise_synthesis_error(self, method, config):
         with pytest.raises(SynthesisError):
@@ -435,3 +441,53 @@ class TestInvariants:
         assert math.isfinite(recommended_df(small).value)
         assert satterthwaite_df(big).value == pytest.approx(
             satterthwaite_df(comps((1, 1.0, 3), (2, 0.5, 7))).value, rel=1e-12)
+
+
+def _common_scale(pairs):
+    """Dyadic rationals (numerator, power-of-two denominator) as integers over one denominator."""
+    pairs = list(pairs)
+    scale = max(den for _, den in pairs)
+    return [num * (scale // den) for num, den in pairs]
+
+
+def _exact_df(components, c=None):
+    """Satterthwaite's defining formula, or with ``c`` the p = 0 adjusted one, exactly.
+
+    Every double is a dyadic rational, and the ratio cancels the common power
+    of two, so the sums run over integers and one Fraction is built at the end.
+    """
+    offset = 0 if c is None else 2
+    terms = _common_scale((w_num * s_num, w_den * s_den) for (w_num, w_den), (s_num, s_den)
+                          in ((x.weight.as_integer_ratio(), x.s2.as_integer_ratio())
+                              for x in components))
+    dfs = [x.df + offset for x in components]
+    lcm = math.lcm(*dfs)
+    ratio = Fraction(sum(terms) ** 2 * lcm,
+                     sum(t * t * (lcm // d) for t, d in zip(terms, dfs)))
+    if c is None:
+        return ratio
+    weights = _common_scale(x.weight.as_integer_ratio() for x in components)
+    nu_bar = Fraction(sum(w * x.df for w, x in zip(weights, components)), sum(weights))
+    return ratio / (1 + Fraction(c) / (len(components) * nu_bar))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 20, 200])
+def test_accuracy_against_exact_arithmetic(k):
+    """Both estimators lie within 2 + 2 sqrt(K) eps of the exact value at any scale.
+
+    Weights and variances sit around independent centres 10^-296..10^296, each
+    spread over 10^+-4. Over 1500 syntheses per K the worst errors measured
+    were 1.4, 2.6, 3.1, 4.1, 7.9 and 19.6 eps for K = 1, 2, 3, 5, 20, 200:
+    rounding errors of the sums add like a random walk.
+    """
+    rng = np.random.default_rng(909 + k)
+    bound = (2.0 + 2.0 * math.sqrt(k)) * sys.float_info.epsilon
+    for _ in range(40):
+        scales = rng.uniform(-296, 296, size=(2, 1)) + rng.uniform(-4, 4, size=(2, k))
+        weights, s2s = (10.0 ** scales).tolist()
+        components = [VarianceComponent(*row)
+                      for row in zip(weights, s2s, rng.integers(1, 101, k).tolist())]
+        for value, exact in ((satterthwaite_df(components).value, _exact_df(components)),
+                             (adjusted_df(components, AdjustmentConfig(2.24, 0)).value,
+                              _exact_df(components, 2.24))):
+            assert abs(Fraction(value) / exact - 1) <= bound, (k, value, float(exact))

@@ -1,6 +1,8 @@
 """Tests of the package's public surface."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -102,3 +104,17 @@ print(json.dumps(sorted(set(namespace) - {"__builtins__"})))
     listed, star = map(json.loads, out.splitlines())
     assert set(PUBLIC_NAMES) <= set(listed) and listed == sorted(listed)
     assert star == PUBLIC_NAMES
+
+
+def test_sources_parse_as_python_3_10():
+    """Every module of the package, the tests and the benchmark parses under 3.10's grammar.
+
+    This catches syntax newer than the oldest supported Python, such as
+    ``except*``; it does not catch stdlib functions or arguments added after
+    3.10, which only a run on 3.10 finds.
+    """
+    root = pathlib.Path(__file__).resolve().parent.parent
+    paths = [p for d in ("src/effdof", "tests", "perfbench") for p in (root / d).rglob("*.py")]
+    assert len(paths) > 10
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

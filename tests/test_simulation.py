@@ -539,6 +539,13 @@ class TestPseudoX2:
         with pytest.raises(ValueError, match="missing cell"):
             pseudo_x2(table)
 
+    def test_missing_cell_is_a_synthesis_error(self):
+        grid = SimulationGrid((2,), (1, 3), replicates=10, seed=0)
+        table = MeanDfTable(grid, EstimatorVariant.satterthwaite(),
+                            {(2, 3): CellStat(6.0, 0.01, 6.0)})
+        with pytest.raises(SynthesisError, match=r"missing cell \(2, 1\)"):
+            pseudo_x2(table)
+
 
 class TestSubstream:
     def test_distinct_cells_get_distinct_streams(self):
