@@ -30,7 +30,7 @@ correlated: they differ cell by cell only by the estimator's factor. Tables
 are bit-reproducible for a fixed seed no matter the evaluation order or the
 number of worker threads, and streams are never shared across cells.
 
-Draws are made in cache-sized chunks. A generator hands out its variates in
+Draws are made in chunks of bounded size. A generator hands out its variates in
 order, so a chunk of m rows followed by one of n rows consumes the stream
 exactly as one draw of m + n rows does: the chunk sizes never change a draw.
 """
@@ -64,9 +64,9 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Upper bound on variates drawn per cell chunk: 2^17 doubles (1 MB), small
-# enough that a chunk stays in cache while it is squared and reduced.
-_CHUNK_SCALARS = 1 << 17
+# Upper bound on variates per cell chunk, which sizes each worker thread's draw
+# buffer: 2^15 doubles (256 KB), to keep the peak memory per thread small.
+_CHUNK_SCALARS = 1 << 15
 # Draws per chunk of the two-component single-d.f. ratio: a (2, 2^15) buffer
 # of uniforms and results (512 KB).
 _RATIO_CHUNK_ROWS = 1 << 15
@@ -104,11 +104,15 @@ class SimulationGrid:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        cells = len(self.k_values) * len(self.nu_values)  # before a range is walked
+        try:  # an iterator becomes a tuple; a range keeps its len and is not walked
+            ks, nus = (v if hasattr(v, "__len__") else tuple(v) for v in (self.k_values, self.nu_values))
+            cells = len(ks) * len(nus)
+        except TypeError:
+            raise SynthesisError("grid value sets must be iterables of integers") from None
         if cells > _MAX_CELLS:
             raise SynthesisError(f"grid of {cells} cells exceeds {_MAX_CELLS}")
-        ks = tuple(sorted({_integer(k, "component count", 2) for k in self.k_values}))
-        nus = tuple(sorted({_integer(nu, "component d.f.", 1) for nu in self.nu_values}))
+        ks = tuple(sorted({_integer(k, "component count", 2) for k in ks}))
+        nus = tuple(sorted({_integer(nu, "component d.f.", 1) for nu in nus}))
         if not ks or not nus:
             raise SynthesisError("grid value sets must be nonempty")
         object.__setattr__(self, "k_values", ks)

@@ -381,6 +381,15 @@ class TestReproduceCommand:
         assert sorted(calls) == [(k, nu) for k in REFERENCE_K_VALUES
                                  for nu in REFERENCE_NU_VALUES]
 
+    def test_x2_bytes_do_not_depend_on_the_chunk_size(self, capsys, monkeypatch):
+        """Chunks of 2^17 variates, the size before 2^15, print the same bytes."""
+        argv = ["reproduce", "--table", "x2", "--replicates", "1000", "--format", "csv"]
+        assert main(argv) == 0
+        current = capsys.readouterr().out
+        monkeypatch.setattr("effdof.simulation._CHUNK_SCALARS", 1 << 17)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == current
+
     def test_thread_flag_reproducible(self, capsys):
         """The default (every available CPU) and any --threads print the serial bytes."""
         for args in (["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",

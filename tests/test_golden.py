@@ -43,7 +43,7 @@ CASES = {
                                  "--threads", "2", "--format", "csv", "--diff"],
     "reproduce-x2-json-t1": ["reproduce", "--table", "x2", "--replicates", "40",
                              "--threads", "1", "--format", "json", "--seed", "7"],
-    # 1000 rows of K = 160 span more than one 2^17-scalar chunk.
+    # 1000 rows of K = 160 span five 2^15-scalar chunks.
     "reproduce-1-csv-1000": ["reproduce", "--table", "1", "--replicates", "1000",
                              "--threads", "2", "--format", "csv"],
     "calibrate-4x4": ["calibrate", "--kmax", "4", "--numax", "4", "--replicates", "300",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,8 +209,9 @@ class TestChunkedKernels:
         for m in (s, np.square(s)):
             assert _row_sums(m).tobytes() == m.sum(axis=1).tobytes()
 
-    @pytest.mark.parametrize("k, nu", [(2, 1), (5, 3), (9, 2), (40, 7)],
-                             ids=["unit-2-1", "unit-5-3", "unit-9-2", "unit-40-7"])
+    @pytest.mark.parametrize("k, nu", [(2, 1), (5, 3), (9, 2), (40, 7), (160, 3), (10, 80)],
+                             ids=["unit-2-1", "unit-5-3", "unit-9-2", "unit-40-7",
+                                  "unit-160-3", "unit-10-80"])
     def test_cell_stat_does_not_depend_on_chunk_size(self, k, nu, monkeypatch):
         whole = _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks"))
         monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 37)
@@ -217,6 +219,7 @@ class TestChunkedKernels:
 
     def test_every_chunk_of_every_cell_fills_one_buffer(self, monkeypatch):
         # 2000 replicates of K=160 make 3 chunks of at most 819 rows per cell.
+        monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 819 * 160)
         outs = []
 
         def recording(rng, n, k, nu, out=None):
@@ -229,6 +232,23 @@ class TestChunkedKernels:
         assert len(outs) == 6
         assert all(out is not None for out in outs)
         assert len({out.__array_interface__["data"][0] for out in outs}) == 1
+
+    def test_cell_peak_memory_is_bounded(self):
+        """A K=160 cell at 2000 replicates peaks under 384 KiB of traced memory.
+
+        Its 16 KB ratio vector, one worker's draw buffer and the per-chunk row
+        sums; a 1 MB buffer would exceed it.
+        """
+        grid = SimulationGrid((160,), (3,), replicates=2000)
+        method = EstimatorVariant.satterthwaite()
+        generate_table(grid, method, max_workers=1)  # warm-up: first-call imports and caches
+        tracemalloc.start()
+        try:
+            generate_table(grid, method, max_workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 384 * 1024
 
     def test_ratio_samples_do_not_depend_on_chunk_size(self, monkeypatch):
         whole = ratio_samples_k2_nu1(1000, substream(4, 2, 1, "chunks"))
@@ -378,6 +398,17 @@ class TestSimulationGrid:
     def test_more_than_a_million_cells_refused(self):
         with pytest.raises(SynthesisError, match="grid of 2000000 cells exceeds 1000000"):
             SimulationGrid(range(2, 2002), range(1, 1001))
+
+    def test_iterators_are_read_once(self):
+        grid = SimulationGrid(iter([3, 2]), (k for k in (1, 2)))
+        assert (grid.k_values, grid.nu_values) == ((2, 3), (1, 2))
+
+    @pytest.mark.parametrize("k_values, nu_values", [(5, (1,)), ((2,), 5), (None, (1,)),
+                                                     (np.array(5), (1,))],
+                             ids=["k-int", "nu-int", "k-none", "k-0d-array"])
+    def test_non_iterable_value_set_refused(self, k_values, nu_values):
+        with pytest.raises(SynthesisError, match="iterables"):
+            SimulationGrid(k_values, nu_values)
 
     def test_calibrate_1000_by_1000_admitted(self):
         grid = SimulationGrid(range(2, 1001), range(1, 1001))
