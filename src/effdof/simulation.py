@@ -41,7 +41,6 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -295,26 +294,48 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
 
 
 def _pool_size(max_workers: int | None, cells: int) -> int:
-    """Worker threads for ``cells`` cells: ``min(requested, available CPUs, cells)``.
+    """Threads that draw ``cells`` cells, the caller included: ``min(requested, CPUs, cells)``.
 
-    ``None`` requests every CPU this process may run on. A thread beyond the
-    CPUs or the cells would only wait, so neither bound is ever exceeded.
+    ``None`` requests every CPU this process may run on; a thread beyond either bound would wait.
     """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     requested = cpus if max_workers is None else _integer(max_workers, "max_workers", 1)
     return min(requested, cpus, cells)
 
 
 def _map(fn, items, max_workers: int | None = None) -> list:
-    """``[fn(item) for item in items]`` on ``_pool_size`` threads, inline for one."""
-    workers = _pool_size(max_workers, len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+    """``[fn(item) for item in items]`` by the caller and ``_pool_size - 1`` helper threads.
+
+    All take indices in order from one counter; a failure, or the caller leaving, stops it.
+    """
+    results, failures, cursor, lock = [None] * len(items), {}, [0], threading.Lock()
+
+    def run() -> None:
+        while True:
+            with lock:
+                i, cursor[0] = cursor[0], cursor[0] + 1
+            if i >= len(items):
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised in the caller once every helper ends
+                with lock:
+                    failures[i], cursor[0] = exc, len(items)
+
+    helpers = [threading.Thread(target=run) for _ in range(_pool_size(max_workers, len(items)) - 1)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run()
+        for helper in helpers:
+            helper.join()
+    finally:
+        with lock:
+            cursor[0] = len(items)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def generate_tables(grid: SimulationGrid, methods,
@@ -324,10 +345,9 @@ def generate_tables(grid: SimulationGrid, methods,
     Every cell is drawn once, from its own substream; each method's cell is
     the same Satterthwaite ratio mean and standard error times that method's
     factor, so the tables are perfectly correlated. This is the one place
-    cells are scheduled: on at most ``max_workers`` threads, every available
-    CPU by default, and never more threads than CPUs or cells; a pool of one
-    runs the cells inline. The result does not depend on scheduling or
-    worker count.
+    cells are scheduled: the caller draws them beside helper threads, on at
+    most ``max_workers`` threads in all (every CPU by default, never more than
+    CPUs or cells). The result does not depend on scheduling or thread count.
     """
     methods, pairs = list(methods), grid.cells()
     # Every factor first: a method that cannot run on the grid fails before any draw.

@@ -67,6 +67,17 @@ def test_reproduce_never_imports_numpy_polynomial():
     assert out.splitlines()[-1] == "True False"
 
 
+def test_drawing_commands_never_import_concurrent_futures_or_logging():
+    # Cells are drawn by the caller beside plain threads; an executor would load both.
+    out = run_python("import sys\nfrom effdof.cli import main\n"
+                     "assert main(['reproduce', '--table', '1', '--replicates', '50',"
+                     " '--threads', '2', '--format', 'csv']) == 0\n"
+                     "assert main(['calibrate', '--kmax', '3', '--numax', '3',"
+                     " '--replicates', '50']) == 0\n"
+                     'print("concurrent.futures" in sys.modules, "logging" in sys.modules)')
+    assert out.splitlines()[-1] == "False False"
+
+
 def test_modules_and_names_loaded_on_first_use():
     out = run_python(f"""import sys
 import effdof

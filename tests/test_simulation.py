@@ -2,7 +2,11 @@
 
 import math
 import os
+import sys
+import threading
+import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -489,23 +493,25 @@ class TestGenerateTable:
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Sizes of the thread pools ``simulation`` opens, each replaced by one that runs inline."""
-    sizes = []
+    """Drawing threads (helpers plus the caller) of each ``_map`` call that starts helpers.
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    Each helper runs its loop inline when started, so the caller finds no item left.
+    """
+    sizes, loops = [], []
 
-        def __enter__(self):
-            return self
+    class InlineThread:
+        def __init__(self, target):
+            if loops[-1:] != [target]:  # the first helper of a new call
+                loops.append(target)
+                sizes.append(1)
+            sizes[-1] += 1
+            self.start = target
 
-        def __exit__(self, *exc):
-            return False
+        def join(self):
+            pass
 
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(simulation, "threading", types.SimpleNamespace(
+        Thread=InlineThread, Lock=threading.Lock, local=threading.local))
     return sizes
 
 
@@ -547,6 +553,74 @@ class TestPoolSize:
         with pytest.raises(SynthesisError, match="max_workers"):
             generate_tables(self.GRID, [EstimatorVariant.satterthwaite()], max_workers=workers)
         assert pool_sizes == []
+
+
+class TestMap:
+    """``_map`` runs every item once, in item order, and stops at its first failure."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_every_item_runs_once_in_item_order(self, workers):
+        ran = []
+
+        def square(i):
+            ran.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update to the counter shows
+        try:
+            assert simulation._map(square, range(200), workers) == [i * i for i in range(200)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == list(range(200))
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_first_failure_stops_the_hand_out(self, workers):
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i > 3:  # slower than the hand-out's stop
+                time.sleep(0.05)
+            if i in (3, 7):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            simulation._map(fn, range(100), workers)
+        assert info.value.args == (3,)
+        assert max(started) <= 3 + workers
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_lowest_index_failure_is_raised(self, workers):
+        def fn(i):
+            if i == 3:
+                time.sleep(0.05)  # item 7 fails first
+            if i in (3, 7):
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as info:
+            simulation._map(fn, range(100), workers)
+        assert info.value.args == (3,)
+
+    def test_no_thread_outlives_a_call(self):
+        before = set(threading.enumerate())
+
+        def fail_at_five(i):
+            if i == 5:
+                raise ValueError(i)
+            return i
+
+        assert simulation._map(abs, range(50), 4) == list(range(50))
+        assert set(threading.enumerate()) == before
+        with pytest.raises(ValueError):
+            simulation._map(fail_at_five, range(50), 4)
+        assert set(threading.enumerate()) == before
 
 
 class TestPseudoX2:
