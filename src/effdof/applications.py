@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .estimators import (
+    _DOUBLES,
     _RECOMMENDED,
-    RECOMMENDED_C,
     AdjustmentConfig,
     DfEstimate,
     SynthesisError,
@@ -52,10 +52,11 @@ class RubinVariance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sampling_s2", _finite(self.sampling_s2, "sampling_s2", 0.0))
-        object.__setattr__(self, "sampling_df", _integer(self.sampling_df, "sampling_df", 1))
+        object.__setattr__(self, "sampling_df",
+                           _integer(self.sampling_df, "sampling_df", 1, _DOUBLES))
         object.__setattr__(self, "imputation_s2",
                            _finite(self.imputation_s2, "imputation_s2", 0.0))
-        object.__setattr__(self, "m", _integer(self.m, "m", 2))
+        object.__setattr__(self, "m", _integer(self.m, "m", 2, _DOUBLES))
 
 
 def rubin_components(inputs: RubinVariance) -> list[VarianceComponent]:
@@ -68,7 +69,7 @@ def rubin_components(inputs: RubinVariance) -> list[VarianceComponent]:
 
 def rubin_df(inputs: RubinVariance, config: AdjustmentConfig | None = None) -> DfEstimate:
     """Adjusted effective d.f. of the multiple-imputation total variance."""
-    return adjusted_df(rubin_components(inputs), config or _RECOMMENDED)
+    return adjusted_df(rubin_components(inputs), _RECOMMENDED if config is None else config)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,8 @@ class WelchInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s2_1", _finite(self.s2_1, "s2_1", 0.0))
         object.__setattr__(self, "s2_2", _finite(self.s2_2, "s2_2", 0.0))
-        object.__setattr__(self, "n1", _integer(self.n1, "n1", 2))
-        object.__setattr__(self, "n2", _integer(self.n2, "n2", 2))
+        object.__setattr__(self, "n1", _integer(self.n1, "n1", 2, _DOUBLES))
+        object.__setattr__(self, "n2", _integer(self.n2, "n2", 2, _DOUBLES))
         df1 = self.n1 - 1 if self.df1 is None else self.df1
         df2 = self.n2 - 1 if self.df2 is None else self.df2
         object.__setattr__(self, "df1", _integer(df1, "df1", 1))
@@ -112,7 +113,7 @@ def welch_components(inputs: WelchInput) -> list[VarianceComponent]:
 
 def welch_df(inputs: WelchInput, config: AdjustmentConfig | None = None) -> DfEstimate:
     """Adjusted effective d.f. for the two-sample unequal-variance test."""
-    return adjusted_df(welch_components(inputs), config or _RECOMMENDED)
+    return adjusted_df(welch_components(inputs), _RECOMMENDED if config is None else config)
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,9 @@ class JackknifeDeviations:
 
     Each squared deviation is an independent single-d.f. variance
     contribution, so the synthesis uses unit weights and df = 1 throughout.
-    The constant defaults to the recommended 2.24.
     """
 
     deviations: tuple[float, ...]
-    constant: float = RECOMMENDED_C
 
     def __post_init__(self) -> None:
         try:
@@ -141,7 +140,6 @@ class JackknifeDeviations:
         if len(devs) < 2:
             raise SynthesisError(f"need at least 2 deviations, got {len(devs)}")
         object.__setattr__(self, "deviations", devs)
-        object.__setattr__(self, "constant", _finite(self.constant, "constant", 0.0))
 
 
 def jackknife_components(inputs: JackknifeDeviations) -> list[VarianceComponent]:
@@ -149,13 +147,13 @@ def jackknife_components(inputs: JackknifeDeviations) -> list[VarianceComponent]
     return [VarianceComponent(1.0, d * d, 1) for d in inputs.deviations]
 
 
-def jackknife_df(inputs: JackknifeDeviations) -> DfEstimate:
-    """Adjusted effective d.f. of a jackknife variance estimate.
+def jackknife_df(inputs: JackknifeDeviations, config: AdjustmentConfig | None = None) -> DfEstimate:
+    """Adjusted effective d.f. of a jackknife variance estimate (default c = 2.24, p = 0).
 
-    With df = 1 everywhere the denominator terms are d^4 / 3, so this equals
-    3 / (1 + C / K) times the classic ratio of the squared deviations.
+    With df = 1 everywhere the denominator terms are d^4 / 3, so for p = 0
+    this equals 3 / (1 + c / K) times the classic ratio of the squared deviations.
     Balanced repeated replication has no adapter. Its half-sample estimates
     are combinations of the same cluster means, so their squared deviations
     are correlated and the independence these estimators assume fails.
     """
-    return adjusted_df(jackknife_components(inputs), AdjustmentConfig(inputs.constant, 0))
+    return adjusted_df(jackknife_components(inputs), _RECOMMENDED if config is None else config)

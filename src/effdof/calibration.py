@@ -130,7 +130,10 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     refit on all points; ``r_squared`` is 1 - SSE/SST of that final fit. The
     fit maps the span [lo, hi] onto [-1, 1]; in the reported powers of C the
     k-th coefficient carries ``(2 / (hi - lo))**k``, and a span that puts this
-    beyond the normal doubles at the chosen degree is an error.
+    beyond the normal doubles at the chosen degree is an error. X2 is fit
+    divided by the power of two that puts its largest magnitude in [0.5, 1),
+    which is exact, so any finite X2 fits; coefficients beyond the doubles are
+    an error.
     """
     # Imported here, so that a process that fits nothing never loads numpy.polynomial.
     from numpy.polynomial import Polynomial
@@ -145,6 +148,10 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         raise CalibrationError(f"need at least {folds} points, got {n}")
     xs = np.asarray([_checked(_finite, p[0], "C") for p in pts])
     ys = np.asarray([_checked(_finite, p[1], "X2") for p in pts])
+    # Least squares is linear in ys: fit them at unit scale, so that no square
+    # or sum overflows, and scale the coefficients back by the same power of two.
+    shift = math.frexp(float(np.abs(ys).max()))[1]
+    ys = np.ldexp(ys, -shift)
     # The fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
     # LAPACK would take a map that is not finite, print to stdout and then fail.
     lo, hi = float(xs.min()), float(xs.max())
@@ -185,7 +192,9 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         best = min(cv_rmse, default=math.inf)
         if not math.isfinite(best):
             raise CalibrationError("no degree is estimable with the given folds")
-        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
+        with np.errstate(over="ignore"):  # X2 near the subnormals: every degree ties
+            tie = float(np.ldexp(1e-12, -shift))  # the 1e-12 tie at the scale of ys
+        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + tie)
         if not -1022 <= degree * math.log2(2.0 / (hi - lo)) < 1024:
             raise CalibrationError(f"span [{lo!r}, {hi!r}] too wide or narrow for degree {degree}")
         coef = solve(slice(None), degree)
@@ -193,10 +202,12 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         raise CalibrationError(f"polynomial fit failed: {exc}") from None
     if coef is None:
         raise CalibrationError(f"rank-deficient design at degree {degree}")
-    coefficients = tuple(float(c) for c in Polynomial(coef, domain=[lo, hi]).convert().coef)
+    unit = Polynomial(coef, domain=[lo, hi]).convert().coef
+    with np.errstate(over="ignore"):
+        coefficients = tuple(float(c) for c in np.ldexp(unit, shift))
     if not all(map(math.isfinite, coefficients)):
         raise CalibrationError(f"polynomial fit has non-finite coefficients {coefficients}")
-    pred = Polynomial(coefficients)(xs)
+    pred = Polynomial(unit)(xs)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     sse = float(np.sum((ys - pred) ** 2))
     if sst == 0.0 and sse > 0.0:

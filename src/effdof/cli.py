@@ -24,8 +24,8 @@ import os
 import sys
 
 from . import applications
-from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, RECOMMENDED_C, EstimatorVariant,
-                         SynthesisError, VarianceComponent, _finite)
+from .estimators import (_DRAWS, DEFAULT_REPLICATES, DEFAULT_SEED, RECOMMENDED_C,
+                         EstimatorVariant, SynthesisError, VarianceComponent, _finite, _integer)
 from .reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES, REFERENCE_TABLES
 
 EXIT_OK = 0
@@ -38,7 +38,7 @@ _RAW_SLICE = 1 << 16  # draws per write of `density --raw`, which bounds its mem
 _TABLE_METHODS = {
     "1": EstimatorVariant.satterthwaite(),
     "2": EstimatorVariant.von_davier_2025(),
-    "3": EstimatorVariant.adjusted(2.24, 0),
+    "3": EstimatorVariant.recommended(),
     "4": EstimatorVariant.adjusted(2.69, 0),
 }
 
@@ -238,6 +238,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_density(args) -> int:
     import numpy as np
     from .simulation import ratio_samples_k2_nu1, substream
+    _integer(args.bins, "bins", 1, _DRAWS)  # before the draws are allocated
     samples = ratio_samples_k2_nu1(args.replicates, substream(args.seed, 2, 1, "ratio"))
     if args.raw:
         # The bytes csv.writer would write, one slice of draws at a time.

@@ -57,7 +57,7 @@ RECOMMENDED_C = 2.24
 DEFAULT_SEED = 1
 DEFAULT_REPLICATES = 10_000
 
-# Method labels carried by DfEstimate and the CLI.
+# Method names of EstimatorVariant, printed by the CLI.
 SATTERTHWAITE = "satterthwaite"
 VON_DAVIER_2025 = "vd2025"
 ADJUSTED = "adjusted"
@@ -96,12 +96,19 @@ def _finite(value, name: str, minimum: float = -math.inf) -> float:
     return x
 
 
-def _integer(value, name: str, minimum: float) -> int:
-    """``value`` as an int no smaller than ``minimum``; bools and floats such as 2.0 fail."""
+# Upper bounds of an integer argument, each with the reason it holds.
+_DOUBLES = (sys.float_info.max, "the largest double")
+_DRAWS = (2**53, "2^53, beyond which a count is not exact as a double")
+
+
+def _integer(value, name: str, minimum: float, maximum=(math.inf, "")) -> int:
+    """``value`` as an int in [minimum, maximum[0]]; bools and floats such as 2.0 fail."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise SynthesisError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise SynthesisError(f"{name} must be >= {minimum}, got {value!r}")
+    if value > maximum[0]:  # its repr may exceed Python's digit limit
+        raise SynthesisError(f"{name} must be <= {maximum[0]!r}, {maximum[1]}")
     return int(value)
 
 
@@ -128,9 +135,7 @@ class VarianceComponent:
             raise SynthesisError(f"weight must be > 0, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "s2", _finite(self.s2, "s2", 0.0))
-        object.__setattr__(self, "df", _integer(self.df, "df", 1))
-        if self.df > sys.float_info.max:
-            raise SynthesisError(f"df must be <= {sys.float_info.max!r}, the largest double")
+        object.__setattr__(self, "df", _integer(self.df, "df", 1, _DOUBLES))
 
 
 @dataclass(frozen=True)
@@ -160,11 +165,9 @@ _RECOMMENDED = AdjustmentConfig(RECOMMENDED_C, 0)
 
 @dataclass(frozen=True)
 class DfEstimate:
-    """An estimated effective d.f. together with the method that produced it."""
+    """An estimated effective d.f.; the caller chose the estimator, so only the value is kept."""
 
     value: float
-    method: str
-    config: AdjustmentConfig | None = None
 
 
 def _as_components(components) -> tuple[VarianceComponent, ...]:
@@ -217,7 +220,13 @@ def weighted_mean_df(components) -> float:
     # Weights relative to the largest one keep both sums finite at any scale.
     top = max(c.weight for c in comps)
     wsum = sum(c.weight / top for c in comps)
-    return sum(c.weight / top * c.df for c in comps) / wsum
+    mean = sum(c.weight / top * c.df for c in comps) / wsum
+    if mean == math.inf:
+        # Only d.f. near the largest double get here: take them relative to
+        # the largest one, so the mean of the ratios is at most 1, and scale back.
+        dtop = max(c.df for c in comps)
+        mean = sum(c.weight / top * (c.df / dtop) for c in comps) / wsum * dtop
+    return mean
 
 
 def satterthwaite_df(components) -> DfEstimate:
@@ -228,7 +237,7 @@ def satterthwaite_df(components) -> DfEstimate:
     The value never exceeds ``sum_k nu_k`` (Cauchy-Schwarz).
     """
     comps = _as_components(components)
-    return DfEstimate(_ratio(comps, plus_two=False), SATTERTHWAITE)
+    return DfEstimate(_ratio(comps, plus_two=False))
 
 
 def _shrink(c, k, nu_bar):
@@ -255,7 +264,7 @@ def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     ratio = _ratio(comps, plus_two=True)
     nu_bar = weighted_mean_df(comps)
     c_eff = config.c if config.p == 0 else config.c * k / (k - 1.0)
-    return DfEstimate(ratio / _shrink(c_eff, k, nu_bar), ADJUSTED, config)
+    return DfEstimate(ratio / _shrink(c_eff, k, nu_bar))
 
 
 def vondavier2025_df(components) -> DfEstimate:
@@ -263,7 +272,7 @@ def vondavier2025_df(components) -> DfEstimate:
 
     Requires at least two components.
     """
-    return DfEstimate(adjusted_df(components, _VD2025).value, VON_DAVIER_2025, _VD2025)
+    return adjusted_df(components, _VD2025)
 
 
 def recommended_df(components) -> DfEstimate:
@@ -332,8 +341,6 @@ class EstimatorVariant:
 
     def evaluate(self, components) -> DfEstimate:
         """Apply this variant to a list of components."""
-        if self.method == SATTERTHWAITE:
+        if self.config is None:
             return satterthwaite_df(components)
-        if self.method == VON_DAVIER_2025:
-            return vondavier2025_df(components)
         return adjusted_df(components, self.config)

@@ -40,13 +40,14 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import (DEFAULT_REPLICATES, DEFAULT_SEED, EstimatorVariant, SynthesisError,
-                         VarianceComponent, _integer)
+from .estimators import (_DRAWS, DEFAULT_REPLICATES, DEFAULT_SEED, EstimatorVariant,
+                         SynthesisError, VarianceComponent, _integer)
 
 __all__ = [
     "CellStat",
@@ -108,6 +109,8 @@ class SimulationGrid:
             cells = len(ks) * len(nus)
         except TypeError:
             raise SynthesisError("grid value sets must be iterables of integers") from None
+        except OverflowError:  # a range too long for len()
+            raise SynthesisError(f"grid of over {sys.maxsize} cells exceeds {_MAX_CELLS}") from None
         if cells > _MAX_CELLS:
             raise SynthesisError(f"grid of {cells} cells exceeds {_MAX_CELLS}")
         ks = tuple(sorted({_integer(k, "component count", 2) for k in ks}))
@@ -116,7 +119,7 @@ class SimulationGrid:
             raise SynthesisError("grid value sets must be nonempty")
         object.__setattr__(self, "k_values", ks)
         object.__setattr__(self, "nu_values", nus)
-        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 2))
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 2, _DRAWS))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", -math.inf))
 
     def cells(self) -> list[tuple[int, int]]:
@@ -215,7 +218,7 @@ def simulate_mean_df(k: int, nu: int, method: EstimatorVariant, replicates: int,
     estimator's factor at (K, nu) (see the module docstring). Building that
     factor checks nu, as a component d.f.
     """
-    k, replicates = _integer(k, "k", 1), _integer(replicates, "replicates", 2)
+    k, replicates = _integer(k, "k", 1), _integer(replicates, "replicates", 2, _DRAWS)
     factor = _factor(method, k, nu)
     mean, std_error = _ratio_stat(k, nu, replicates, rng)
     return CellStat(mean * factor, std_error * factor, float(k * nu))
@@ -275,7 +278,7 @@ def ratio_samples_k2_nu1(replicates: int, rng: np.random.Generator) -> np.ndarra
     exactly and U near 1 gives 2. The draws are the same for any thread
     count and any CPU (see the module docstring).
     """
-    replicates = _integer(replicates, "replicates", 1)
+    replicates = _integer(replicates, "replicates", 1, _DRAWS)
     out = np.empty(replicates)
     _ratio_sums_k2_nu1(replicates, rng, out)
     return out
@@ -289,7 +292,7 @@ def ratio_mean_k2_nu1(replicates: int, rng: np.random.Generator) -> float:
     chunk, then block by block in block order, so memory does not grow with
     ``replicates``.
     """
-    replicates = _integer(replicates, "replicates", 2)
+    replicates = _integer(replicates, "replicates", 2, _DRAWS)
     return sum(_ratio_sums_k2_nu1(replicates, rng)) / replicates
 
 

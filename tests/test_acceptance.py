@@ -335,11 +335,9 @@ def test_criterion_7_adapter_equivalence():
             failures += 1
 
         jack_inputs = JackknifeDeviations(
-            tuple(rng.normal(0, 1, size=int(rng.integers(2, 40)))),
-            float(rng.uniform(0, 4)))
-        if jackknife_df(jack_inputs).value != \
-                adjusted_df(jackknife_components(jack_inputs),
-                            AdjustmentConfig(jack_inputs.constant, 0)).value:
+            tuple(rng.normal(0, 1, size=int(rng.integers(2, 40)))))
+        if jackknife_df(jack_inputs, config).value != \
+                adjusted_df(jackknife_components(jack_inputs), config).value:
             failures += 1
     report("7 (adapter equivalence)", failures == 0,
            f"{3000 - failures}/3000 exact matches")

@@ -1,6 +1,7 @@
 """Tests for the constant-calibration pipeline."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -159,6 +160,49 @@ class TestFitPolynomialCv:
         # The fold that holds out x = 1 trains on x = 0 alone, so no degree fits it.
         with pytest.raises(CalibrationError, match="no degree is estimable"):
             fit_polynomial_cv([(0, 1), (0, 2), (0, 3), (1, 4)], folds=4, max_degree=3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shift", [60, 509, 600, 1000])
+    def test_fit_scales_exactly_with_x2(self, shift):
+        # X2 is fit at unit scale: a power-of-two factor on every X2 scales the
+        # coefficients by that factor and changes nothing else. From 2^509 on,
+        # the squares of the residuals once overflowed. The tie between degrees
+        # stays 1e-12 in X2 units, where a factor below 1 can merge degrees.
+        rng = np.random.default_rng(11)
+        xs = default_c_grid()
+        ys = [(c - 2.5) ** 2 + 0.1 + rng.normal(0.0, 1e-3) for c in xs]
+        fit = fit_polynomial_cv(list(zip(xs, ys)))
+        scaled = fit_polynomial_cv([(x, math.ldexp(y, shift)) for x, y in zip(xs, ys)])
+        assert (scaled.degree, scaled.r_squared) == (fit.degree, fit.r_squared)
+        assert scaled.coefficients == tuple(math.ldexp(c, shift) for c in fit.coefficients)
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficients_beyond_the_doubles_rejected(self):
+        # Every X2 is finite, but the constant term in powers of C is not.
+        points = [(c, ((c - 2.5) ** 2 + 0.1) * 1.6e308) for c in default_c_grid()]
+        with pytest.raises(CalibrationError, match="non-finite coefficients"):
+            fit_polynomial_cv(points)
+
+    def test_lapack_failure_is_a_calibration_error(self, monkeypatch):
+        # LAPACK converges on the finite unit-scale systems built here, so the failure is injected.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        with pytest.raises(CalibrationError, match="polynomial fit failed: SVD did not converge"):
+            fit_polynomial_cv([(float(i), float(i * i)) for i in range(12)], folds=2)
+
+    def test_rank_loss_on_the_final_fit_is_an_error(self, monkeypatch):
+        # The refit on all points has every row of a full-rank training fold,
+        # so its rank loss is injected: it reports one less on all 12 rows.
+        points = [(float(i), float(i * i)) for i in range(12)]
+        lstsq = np.linalg.lstsq
+
+        def final_fit_rank_deficient(a, b, rcond):
+            coef, residuals, rank, singular_values = lstsq(a, b, rcond=rcond)
+            return coef, residuals, rank - (len(a) == len(points)), singular_values
+        monkeypatch.setattr(np.linalg, "lstsq", final_fit_rank_deficient)
+        with pytest.raises(CalibrationError, match="rank-deficient design at degree 2"):
+            fit_polynomial_cv(points, folds=2)
 
     def test_span_beyond_the_power_basis_rejected(self):
         # (2/span)^5 is below the normal doubles; converting once gave R^2 < 0.

@@ -136,6 +136,32 @@ def test_json_boolean_weight_or_variance_exits_2(name, tmp_path, capsys):
     assert "row 1: " in capsys.readouterr().err
 
 
+# Sizes beyond a stated bound, each refused before anything is allocated: once
+# a traceback (OverflowError, or numpy's "Maximum allowed dimension exceeded").
+_BOUNDED = {
+    "welch-n1-beyond-the-doubles": (
+        ["apply", "welch", "--s2-1", "1", "--s2-2", "1", "--n1", "1" + "0" * 400, "--n2", "5",
+         "--df1", "4"], "n1 must be <= 1.7976931348623157e+308, the largest double"),
+    "calibrate-kmax": (["calibrate", "--kmax", str(10 ** 20)], "cells exceeds 1000000"),
+    "reproduce-replicates": (["reproduce", "--table", "1", "--replicates", str(10 ** 20)],
+                             "replicates must be <= 9007199254740992"),
+    "reproduce-x2-replicates": (["reproduce", "--table", "x2", "--replicates", str(2 ** 63 - 1)],
+                                "replicates must be <= 9007199254740992"),
+    "density-bins": (["density", "--bins", str(10 ** 20)], "bins must be <= 9007199254740992"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", _BOUNDED)
+def test_size_beyond_its_bound_exits_3_with_one_line(name, capsys):
+    argv, message = _BOUNDED[name]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 # Sizes no machine's memory holds. All run in one child whose address space is
 # capped 1 GiB above what its imports took, so that no case can pass by overcommit
 # and fail later, and none makes a real huge allocation.

@@ -14,6 +14,7 @@ import pytest
 from effdof import (
     AdjustmentConfig,
     DegenerateSynthesisError,
+    DfEstimate,
     EstimatorVariant,
     NoComponentsError,
     SynthesisError,
@@ -153,6 +154,21 @@ class TestWeightedMeanDf:
         with pytest.raises(NoComponentsError, match="no components"):
             weighted_mean_df([])
 
+    @pytest.mark.parametrize("triples", [
+        [(1, 1, int(sys.float_info.max))] * 2,
+        [(1, 1, int(sys.float_info.max)), (1e-300, 1, 1), (1, 2, int(sys.float_info.max) // 2)],
+        [(3.0, 1, int(sys.float_info.max)), (1.5, 1, int(sys.float_info.max) // 7 * 5)],
+        [(1e300, 1, int(sys.float_info.max)), (0.9e300, 1, int(sys.float_info.max) // 5)],
+    ], ids=["largest-twice", "mixed", "unequal-weights", "huge-weights"])
+    def test_d_f_near_the_largest_double(self, triples):
+        # The plain sum of w * df overflows here, but the mean does not.
+        components = comps(*triples)
+        exact = (sum(Fraction(c.weight) * c.df for c in components)
+                 / sum(Fraction(c.weight) for c in components))
+        value = weighted_mean_df(components)
+        assert math.isfinite(value)
+        assert abs(Fraction(value) / exact - 1) <= 8 * sys.float_info.epsilon
+
 
 class TestSatterthwaite:
     def test_single_component_returns_own_df(self):
@@ -188,8 +204,8 @@ class TestSatterthwaite:
             satterthwaite_df([VarianceComponent(1, 1, 2), (1, 1, 2)])
 
     def test_method_label(self):
-        est = satterthwaite_df(comps((1, 1, 1)))
-        assert est.method == "satterthwaite" and est.config is None
+        # The result carries only its value.
+        assert satterthwaite_df(comps((1, 1, 1))) == DfEstimate(1.0)
 
     def test_zero_s2_components_contribute_nothing(self):
         with_zero = satterthwaite_df(comps((1, 2, 4), (5, 0, 9), (1.25, 3, 6)))
@@ -231,9 +247,9 @@ class TestAdjusted:
             adjusted_df(comps((1, 1, 1), (1, 1, 1)), (2.24, 0))
 
     def test_method_carries_config(self):
-        cfg = AdjustmentConfig(2.69, 0)
-        est = adjusted_df(comps((1, 1, 1), (1, 1, 1)), cfg)
-        assert est.method == "adjusted" and est.config == cfg
+        cs = comps((1, 1, 1), (1, 1, 1))
+        assert adjusted_df(cs, AdjustmentConfig(2.69, 0)) == \
+            EstimatorVariant.adjusted(2.69, 0).evaluate(cs)
 
 
 class TestConvenienceWrappers:
@@ -249,14 +265,15 @@ class TestConvenienceWrappers:
         assert vondavier2025_df(comps(*[(1, 2, 4)] * 3)).value == 14.4
 
     def test_vd2025_label(self):
-        est = vondavier2025_df(comps((1, 1, 1), (1, 1, 1)))
-        assert est.method == "vd2025"
-        assert est.config == AdjustmentConfig(2.0, 1)
+        cs = comps((1, 1, 1), (1, 1, 1))
+        assert vondavier2025_df(cs) == adjusted_df(cs, AdjustmentConfig(2.0, 1))
+        assert vondavier2025_df(cs) == EstimatorVariant.von_davier_2025().evaluate(cs)
 
     def test_recommended_equal_pair(self):
-        est = recommended_df(comps((1, 1, 1), (1, 1, 1)))
+        cs = comps((1, 1, 1), (1, 1, 1))
+        est = recommended_df(cs)
         assert est.value == pytest.approx(6.0 / 2.12, rel=1e-12)
-        assert est.config == AdjustmentConfig(2.24, 0)
+        assert est == adjusted_df(cs, AdjustmentConfig(2.24, 0))
 
     def test_recommended_many_identical_components(self):
         # 160 identical single components: ratio (160^2)/(160/82) = 82*160,

@@ -403,6 +403,22 @@ class TestSimulationGrid:
         with pytest.raises(SynthesisError, match="grid of 2000000 cells exceeds 1000000"):
             SimulationGrid(range(2, 2002), range(1, 1001))
 
+    def test_range_too_long_for_len_refused(self):
+        # len(range(2, 10**20)) raises OverflowError; the grid names its own limit instead.
+        with pytest.raises(SynthesisError, match="cells exceeds 1000000"):
+            SimulationGrid(range(2, 10 ** 20), (1,))
+
+    @pytest.mark.parametrize("draw", [
+        lambda n: SimulationGrid((2,), (1,), replicates=n),
+        lambda n: simulate_mean_df(2, 1, EstimatorVariant.satterthwaite(), n,
+                                   substream(1, 2, 1, "t")),
+        lambda n: ratio_samples_k2_nu1(n, substream(1, 2, 1, "t")),
+        lambda n: ratio_mean_k2_nu1(n, substream(1, 2, 1, "t")),
+    ], ids=["grid", "simulate_mean_df", "ratio_samples", "ratio_mean"])
+    def test_replicates_beyond_2_to_the_53_refused_before_drawing(self, draw):
+        with pytest.raises(SynthesisError, match="replicates must be <= 9007199254740992"):
+            draw(2 ** 53 + 1)
+
     def test_iterators_are_read_once(self):
         grid = SimulationGrid(iter([3, 2]), (k for k in (1, 2)))
         assert (grid.k_values, grid.nu_values) == ((2, 3), (1, 2))
