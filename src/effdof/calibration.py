@@ -124,20 +124,20 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
 
     Candidate degrees run from 1 to ``max_degree``, less any whose design is
     rank-deficient on some fold; the winner minimizes the mean RMSE over
-    folds, with ties (within 1e-12) resolved to the smallest degree. Folds
-    are formed by shuffling the points once with ``seed`` and dealing them
-    round-robin, so the partition is deterministic. The winning degree is
-    refit on all points; ``r_squared`` is 1 - SSE/SST of that final fit. The
-    fit maps the span [lo, hi] onto [-1, 1]; in the reported powers of C the
-    k-th coefficient carries ``(2 / (hi - lo))**k``, and a span that puts this
-    beyond the normal doubles at the chosen degree is an error. X2 is fit
-    divided by the power of two that puts its largest magnitude in [0.5, 1),
-    which is exact, so any finite X2 fits; coefficients beyond the doubles are
-    an error.
+    folds, with ties (within 1e-12 of X2 at the unit scale below) resolved to
+    the smallest degree. Folds are formed by shuffling the points once with
+    ``seed`` and dealing them round-robin, so the partition is deterministic.
+    Each fit is numpy's ``polyfit`` on the span [lo, hi] mapped onto [-1, 1],
+    and ``r_squared`` is 1 - SSE/SST of the winning degree's fit on all points.
+    In the reported powers of C the k-th coefficient carries ``(2 / (hi - lo))**k``,
+    and a span that puts this beyond the normal doubles at the chosen degree is
+    an error. X2 is fit divided by the power of two that puts its largest
+    magnitude in [0.5, 1), which is exact: any finite X2 fits, and a power-of-two
+    factor on X2 changes no degree. Coefficients beyond the doubles are an error.
     """
     # Imported here, so that a process that fits nothing never loads numpy.polynomial.
     from numpy.polynomial import Polynomial
-    from numpy.polynomial.polynomial import polyvander
+    from numpy.polynomial.polynomial import polyfit, polyvander
     from numpy.polynomial.polyutils import mapdomain
     pts = list(points)
     n = len(pts)
@@ -165,16 +165,13 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     fold_ids[order] = np.arange(n) % folds
     # Above n - ceil(n / folds) - 1, the smallest training fold's design is rank-deficient.
     max_degree = min(max_degree, n - -(-n // folds) - 1)
-    vander = polyvander(mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0])), max_degree)
+    t = mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0]))
+    vander = polyvander(t, max_degree)
 
     def solve(rows, degree: int):
-        """polyfit's fit (unit-norm columns, rcond = rows * eps); None if rank-deficient."""
-        design = vander[rows, :degree + 1]
-        scale = np.sqrt(np.square(design).sum(axis=0))
-        scale[scale == 0.0] = 1.0
-        coef, _, rank, _ = np.linalg.lstsq(design / scale, ys[rows],
-                                           rcond=len(design) * np.finfo(float).eps)
-        return coef / scale if rank == degree + 1 else None
+        """polyfit's coefficients on ``rows``; None if the design is rank-deficient."""
+        coef, (_, rank, _, _) = polyfit(t[rows], ys[rows], degree, full=True)
+        return coef if rank == degree + 1 else None
 
     try:
         cv_rmse = []
@@ -192,9 +189,7 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
         best = min(cv_rmse, default=math.inf)
         if not math.isfinite(best):
             raise CalibrationError("no degree is estimable with the given folds")
-        with np.errstate(over="ignore"):  # X2 near the subnormals: every degree ties
-            tie = float(np.ldexp(1e-12, -shift))  # the 1e-12 tie at the scale of ys
-        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + tie)
+        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
         if not -1022 <= degree * math.log2(2.0 / (hi - lo)) < 1024:
             raise CalibrationError(f"span [{lo!r}, {hi!r}] too wide or narrow for degree {degree}")
         coef = solve(slice(None), degree)
@@ -230,14 +225,18 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     coefs = [_checked(_finite, c, "coefficient") for c in coefficients]
     if len(coefs) < 2:
         raise CalibrationError("polynomial degree must be >= 1")
-    from numpy.polynomial import Polynomial  # as in fit_polynomial_cv
+    from numpy.polynomial.polynomial import Polynomial, polyvander  # as in fit_polynomial_cv
     poly = Polynomial(coefs)
 
     with np.errstate(all="ignore"):  # an overflow raises CalibrationError, not a warning
         slope = poly.deriv()
         if not np.isfinite(slope.coef).all():
             raise CalibrationError(f"the slope of the polynomial overflows on ({lo}, {hi})")
-        candidates = [lo, hi] + [float(r.real) for r in slope.roots()
+        # Top slope terms within rounding on the interval add far roots that spoil near ones.
+        terms = np.abs(slope.coef) * polyvander(max(abs(lo), abs(hi)), len(slope.coef) - 1)[0]
+        while len(terms) > 1 and terms[-1] <= np.finfo(float).eps * terms.sum() < math.inf:
+            terms = terms[:-1]
+        candidates = [lo, hi] + [float(r.real) for r in slope.truncate(len(terms)).roots()
                                  if abs(r.imag) < 1e-9 and lo <= r.real <= hi]
         values = [(float(poly(c)), c) for c in candidates]
     if not all(math.isfinite(value) for value, _ in values):

@@ -212,20 +212,17 @@ def _cmd_calibrate(args) -> int:
     from .simulation import SimulationGrid
     grid = SimulationGrid(range(2, args.kmax + 1), range(1, args.numax + 1),
                           replicates=args.replicates, seed=args.seed)
-    created = bool(args.curve_out) and not os.path.exists(args.curve_out)
     if args.curve_out:
-        # A path that cannot be written fails before the first draw, not after
-        # the whole study; append mode leaves an existing file as it is.
-        with open(args.curve_out, "a", encoding="utf-8"):
-            pass
-    try:
-        curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
-                                folds=args.folds, max_degree=args.max_degree,
-                                max_workers=args.threads)
-    except BaseException:
-        if created:  # a failed study leaves no empty curve file behind
+        # A path that cannot be written fails before the first draw, not after the
+        # whole study. Append mode leaves an existing file as it is; a file it creates
+        # is removed at once, so a failed study leaves no curve file behind.
+        created = not os.path.exists(args.curve_out)
+        open(args.curve_out, "a", encoding="utf-8").close()
+        if created:
             os.remove(args.curve_out)
-        raise
+    curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
+                            folds=args.folds, max_degree=args.max_degree,
+                            max_workers=args.threads)
     if args.curve_out:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([("C", "X2"), *curve.points])

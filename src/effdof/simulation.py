@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# Upper bound on variates per cell chunk, which sizes each worker thread's draw
-# buffer: 2^15 doubles (256 KB), to keep the peak memory per thread small.
+# Upper bound on variates per cell chunk, which sizes a cell's draw buffer:
+# 2^15 doubles (256 KB), to keep the peak memory per thread small.
 _CHUNK_SCALARS = 1 << 15
 # Draws per chunk of the two-component single-d.f. ratio: a (2, 2^15) buffer
 # of uniforms and results (512 KB).
@@ -192,13 +192,11 @@ def _row_sums(s: np.ndarray) -> np.ndarray:
     return total
 
 
-def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator,
-                buffer: np.ndarray | None = None) -> tuple[float, float]:
+def _ratio_stat(k: int, nu: int, replicates: int, rng: np.random.Generator) -> tuple[float, float]:
     """Mean and standard error of Satterthwaite's ratio over ``replicates`` draws."""
     ratios = np.empty(replicates)
     chunk = max(1, _CHUNK_SCALARS // k)
-    if buffer is None or len(buffer) < min(chunk, replicates) * k:  # one buffer for the call
-        buffer = np.empty(min(chunk, replicates) * k)
+    buffer = np.empty(min(chunk, replicates) * k)
     for done in range(0, replicates, chunk):
         m = min(chunk, replicates - done)
         s = sample_chi2_matrix(rng, m, k, nu, out=buffer[:m * k].reshape(m, k))
@@ -355,14 +353,10 @@ def generate_tables(grid: SimulationGrid, methods,
     methods, pairs = list(methods), grid.cells()
     # Every factor first: a method that cannot run on the grid fails before any draw.
     factors = [[_factor(method, k, nu) for k, nu in pairs] for method in methods]
-    local = threading.local()  # one draw buffer per worker thread, for this call only
 
     def one_cell(pair: tuple[int, int]) -> tuple[float, float]:
         k, nu = pair
-        if not hasattr(local, "buffer"):
-            local.buffer = np.empty(_CHUNK_SCALARS)
-        return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG),
-                           local.buffer)
+        return _ratio_stat(k, nu, grid.replicates, substream(grid.seed, k, nu, _CRN_TAG))
 
     stats = _map(one_cell, pairs, max_workers) if methods else []  # no method, no draw
     return [MeanDfTable(grid, method, {

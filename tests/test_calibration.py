@@ -162,12 +162,13 @@ class TestFitPolynomialCv:
             fit_polynomial_cv([(0, 1), (0, 2), (0, 3), (1, 4)], folds=4, max_degree=3)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("shift", [60, 509, 600, 1000])
+    @pytest.mark.parametrize("shift", [-600, -200, -60, 60, 509, 600, 1000])
     def test_fit_scales_exactly_with_x2(self, shift):
         # X2 is fit at unit scale: a power-of-two factor on every X2 scales the
         # coefficients by that factor and changes nothing else. From 2^509 on,
-        # the squares of the residuals once overflowed. The tie between degrees
-        # stays 1e-12 in X2 units, where a factor below 1 can merge degrees.
+        # the squares of the residuals once overflowed; at 2^-60 and below, a
+        # tie of 1e-12 in X2 units once merged degrees 1 and 2. Factors near
+        # 2^-1074 are left out: X2 would be subnormal and the factor inexact.
         rng = np.random.default_rng(11)
         xs = default_c_grid()
         ys = [(c - 2.5) ** 2 + 0.1 + rng.normal(0.0, 1e-3) for c in xs]
@@ -275,6 +276,13 @@ class TestFindCOpt:
         c_opt, x2_min = find_c_opt((6.25, -5.0, 1.0), (2.0, 3.2))
         assert c_opt == pytest.approx(2.5, abs=1e-8)
         assert x2_min == pytest.approx(0.0, abs=1e-12)
+
+    def test_far_root_of_the_slope_keeps_the_near_critical_point(self):
+        # The slope -5 + 2C + 1.2e-16 C^2 has roots near 2.5 and -1.7e16; with
+        # its top term kept, the companion matrix put the near one at 2.0.
+        c_opt, x2_min = find_c_opt((6.35, -5.0, 1.0, 4e-17), (2.01, 3.19))
+        assert c_opt == pytest.approx(2.5, abs=1e-8)
+        assert x2_min == pytest.approx(0.1, abs=1e-12)
 
     def test_boundary_minimum(self):
         c_opt, x2_min = find_c_opt((0.0, -1.0), (2.0, 3.2))

@@ -428,6 +428,24 @@ class TestCalibrateCommand:
         assert not new.exists()
         assert existing.read_text() == "kept\n"
 
+    def test_no_curve_file_while_the_study_runs_or_after_an_interrupt(self, tmp_path,
+                                                                     monkeypatch):
+        new, existing = tmp_path / "new.csv", tmp_path / "existing.csv"
+        existing.write_bytes(b"kept\r\n")
+        seen = []
+
+        def interrupted(*args, **kwargs):
+            seen.append((new.exists(), existing.read_bytes()))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("effdof.calibration.run_calibration", interrupted)
+        for path in (new, existing):
+            with pytest.raises(KeyboardInterrupt):
+                main(["calibrate", "--kmax", "2", "--numax", "1", "--curve-out", str(path)])
+        assert seen == [(False, b"kept\r\n")] * 2
+        assert not new.exists()
+        assert existing.read_bytes() == b"kept\r\n"
+
     def test_step_larger_than_interval_exits_2(self, capsys):
         assert main(["calibrate", "--cmin", "2.1", "--cmax", "2.2",
                      "--step", "0.5"]) == 2

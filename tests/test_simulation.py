@@ -221,8 +221,9 @@ class TestChunkedKernels:
         monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 37)
         assert _ratio_stat(k, nu, 500, substream(4, k, nu, "chunks")) == whole
 
-    def test_every_chunk_of_every_cell_fills_one_buffer(self, monkeypatch):
-        # 2000 replicates of K=160 make 3 chunks of at most 819 rows per cell.
+    def test_every_chunk_of_a_cell_fills_one_buffer(self, monkeypatch):
+        # 2000 replicates of K=160 make 3 chunks of at most 819 rows per cell;
+        # one thread draws the two cells in order, each into its own buffer.
         monkeypatch.setattr(simulation, "_CHUNK_SCALARS", 819 * 160)
         outs = []
 
@@ -235,12 +236,13 @@ class TestChunkedKernels:
                        EstimatorVariant.satterthwaite(), max_workers=1)
         assert len(outs) == 6
         assert all(out is not None for out in outs)
-        assert len({out.__array_interface__["data"][0] for out in outs}) == 1
+        for cell in (outs[:3], outs[3:]):
+            assert len({out.__array_interface__["data"][0] for out in cell}) == 1
 
     def test_cell_peak_memory_is_bounded(self):
         """A K=160 cell at 2000 replicates peaks under 384 KiB of traced memory.
 
-        Its 16 KB ratio vector, one worker's draw buffer and the per-chunk row
+        Its 16 KB ratio vector, its draw buffer and the per-chunk row
         sums; a 1 MB buffer would exceed it.
         """
         grid = SimulationGrid((160,), (3,), replicates=2000)
