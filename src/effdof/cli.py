@@ -212,7 +212,7 @@ def _cmd_calibrate(args) -> int:
     from .simulation import SimulationGrid
     grid = SimulationGrid(range(2, args.kmax + 1), range(1, args.numax + 1),
                           replicates=args.replicates, seed=args.seed)
-    if args.curve_out:
+    if args.curve_out is not None:
         # A path that cannot be written fails before the first draw, not after the
         # whole study. Append mode leaves an existing file as it is; a file it creates
         # is removed at once, so a failed study leaves no curve file behind.
@@ -223,7 +223,7 @@ def _cmd_calibrate(args) -> int:
     curve = run_calibration(grid, default_c_grid(args.cmin, args.cmax, args.step),
                             folds=args.folds, max_degree=args.max_degree,
                             max_workers=args.threads)
-    if args.curve_out:
+    if args.curve_out is not None:
         with open(args.curve_out, "w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([("C", "X2"), *curve.points])
     print(json.dumps({"size": [args.kmax, args.numax], "degree": curve.fit.degree,
@@ -297,11 +297,12 @@ def _add_threads(parser: argparse.ArgumentParser) -> None:
                              "available CPU); results do not depend on it")
 
 
-def _add_adjustment(parser: argparse.ArgumentParser) -> None:
+def _add_adjustment(parser: argparse.ArgumentParser, offset: bool = True) -> None:
     parser.add_argument("--constant", type=float, default=RECOMMENDED_C,
                         help=f"correction constant C (default {RECOMMENDED_C})")
-    parser.add_argument("--offset", type=int, choices=(0, 1), default=0,
-                        help="offset p in the K - p shrink term (default 0)")
+    if offset:
+        parser.add_argument("--offset", type=int, choices=(0, 1), default=0,
+                            help="offset p in the K - p shrink term (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(handler=_cmd_estimate)
 
     p_rep = sub.add_parser("reproduce", help="regenerate a reference simulation table")
-    p_rep.add_argument("--table", choices=("1", "2", "3", "4", "x2"), required=True,
+    p_rep.add_argument("--table", choices=(*_TABLE_METHODS, "x2"), required=True,
                        help="1 satterthwaite, 2 vd2025, 3 adjusted c=2.24, "
                             "4 adjusted c=2.69, x2 pseudo chi-square of tables 1-4")
     p_rep.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -358,32 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_app = sub.add_parser("apply", help="adapters for common settings")
     app_sub = p_app.add_subparsers(dest="adapter", required=True)
-
-    p_rubin = app_sub.add_parser("rubin", help="multiple-imputation total variance")
-    p_rubin.add_argument("--m", type=int, required=True, help="number of imputations")
-    p_rubin.add_argument("--sampling-s2", type=float, required=True)
-    p_rubin.add_argument("--sampling-df", type=int, required=True)
-    p_rubin.add_argument("--imputation-s2", type=float, required=True)
-    _add_adjustment(p_rubin)
-    _add_format(p_rubin)
-    p_rubin.set_defaults(handler=_cmd_apply)
-
-    p_welch = app_sub.add_parser("welch", help="two-sample unequal-variance pooled d.f.")
-    p_welch.add_argument("--s2-1", dest="s2_1", type=float, required=True)
-    p_welch.add_argument("--s2-2", dest="s2_2", type=float, required=True)
-    p_welch.add_argument("--n1", type=int, required=True)
-    p_welch.add_argument("--n2", type=int, required=True)
-    p_welch.add_argument("--df1", type=int, default=None, help="default n1 - 1")
-    p_welch.add_argument("--df2", type=int, default=None, help="default n2 - 1")
-    _add_adjustment(p_welch)
-    _add_format(p_welch)
-    p_welch.set_defaults(handler=_cmd_apply)
-
-    p_jack = app_sub.add_parser("jackknife", help="jackknife replication deviations")
-    p_jack.add_argument("--deviations", type=float, nargs="+", required=True)
-    p_jack.add_argument("--constant", type=float, default=RECOMMENDED_C)
-    _add_format(p_jack)
-    p_jack.set_defaults(handler=_cmd_apply, offset=0)
+    for name, (inputs, _) in _ADAPTERS.items():
+        p_ad = app_sub.add_parser(name, help=inputs.__doc__.partition("\n")[0])
+        for field in dataclasses.fields(inputs):  # one flag per field, named after it
+            p_ad.add_argument("--" + field.name.replace("_", "-"),
+                              required=field.default is dataclasses.MISSING,
+                              type=float if "float" in field.type else int,
+                              nargs="+" if field.type.startswith("tuple") else None)
+        _add_adjustment(p_ad, offset=name != "jackknife")  # jackknife fixes p = 0
+        _add_format(p_ad)
+        p_ad.set_defaults(handler=_cmd_apply, offset=0)
 
     return parser
 

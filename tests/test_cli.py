@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -266,6 +267,36 @@ class TestApplyCommands:
             args = vars(build_parser().parse_args(["apply", adapter, *flags]))
             inputs, _ = _ADAPTERS[adapter]
             assert {f.name for f in dataclasses.fields(inputs)} <= set(args), adapter
+
+    def test_each_adapter_has_exactly_its_options(self):
+        """Flags built from the dataclasses keep the names, dests, types and arity of the
+        hand-written ones, and no option is added (jackknife has no --offset)."""
+        def subcommands(parser):
+            return next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+
+        shared = {"--constant": ("constant", float, None, False),
+                  "--offset": ("offset", int, None, False),
+                  "--format": ("format", None, None, False)}
+        expected = {  # option: (dest, type, nargs, required)
+            "rubin": {"--m": ("m", int, None, True),
+                      "--sampling-s2": ("sampling_s2", float, None, True),
+                      "--sampling-df": ("sampling_df", int, None, True),
+                      "--imputation-s2": ("imputation_s2", float, None, True), **shared},
+            "welch": {"--s2-1": ("s2_1", float, None, True),
+                      "--s2-2": ("s2_2", float, None, True),
+                      "--n1": ("n1", int, None, True), "--n2": ("n2", int, None, True),
+                      "--df1": ("df1", int, None, False), "--df2": ("df2", int, None, False),
+                      **shared},
+            "jackknife": {"--deviations": ("deviations", float, "+", True),
+                          "--constant": shared["--constant"], "--format": shared["--format"]},
+        }
+        adapters = subcommands(subcommands(build_parser())["apply"])
+        assert set(adapters) == set(expected)
+        for name, parser in adapters.items():
+            options = {a.option_strings[-1]: (a.dest, a.type, a.nargs, a.required)
+                       for a in parser._actions if a.dest != "help"}
+            assert options == expected[name], name
 
 
 class TestDensityCommand:

@@ -3,10 +3,12 @@
 Every case runs in-process through ``main``. An exception that escapes it
 would reach the user as a traceback, so the test fails on one, and on any
 exit code other than 0 (success), 2 (input) or 3 (numerical), or on a warning.
-The sizes beyond memory run in one child process with a capped address space.
+The sizes beyond memory, and a seeded fuzzer over every option of the drawing
+commands and the adapters, run in one child process with a capped address space.
 """
 
 import json
+import random
 import sys
 
 import pytest
@@ -136,6 +138,17 @@ def test_json_boolean_weight_or_variance_exits_2(name, tmp_path, capsys):
     assert "row 1: " in capsys.readouterr().err
 
 
+def test_empty_curve_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # An empty path once read as no --curve-out at all: exit 0 and no curve file.
+    monkeypatch.chdir(tmp_path)
+    assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
+                 "--curve-out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 # Sizes beyond a stated bound, each refused before anything is allocated: once
 # a traceback (OverflowError, or numpy's "Maximum allowed dimension exceeded").
 _BOUNDED = {
@@ -196,9 +209,63 @@ print(json.dumps(results))
 """
 
 
+# A seeded fuzzer over every option of the drawing commands and the adapters. Each
+# option draws from small valid values and, one time in four, from the edge values;
+# --replicates is always given, so that no run draws for long. An empty list marks
+# a switch, and --curve-out takes its own paths.
+_EDGES = ["0", "-0", "nan", "inf", "-inf", "1e308", "5e-324", str(2 ** 63), str(10 ** 20),
+          " 4", "1_0"]
+_FORMAT = ["csv", "markdown", "json"]
+_OPTIONS = {
+    ("calibrate",): {"--replicates": ["2", "3"], "--kmax": ["2", "3"], "--numax": ["1", "2"],
+                     "--cmin": ["2"], "--cmax": ["2.3"], "--step": ["0.1"], "--folds": ["3"],
+                     "--max-degree": ["2"], "--seed": ["8191"], "--threads": ["1", "2"],
+                     "--curve-out": None},
+    ("reproduce",): {"--replicates": ["2", "3"], "--table": ["1", "4", "x2"], "--seed": ["8191"],
+                     "--threads": ["1", "2"], "--diff": [], "--format": _FORMAT},
+    ("density",): {"--replicates": ["1", "5"], "--seed": ["8191"], "--bins": ["1", "3"],
+                   "--raw": []},
+    ("apply", "rubin"): {"--m": ["2", "5"], "--sampling-s2": ["1"], "--sampling-df": ["1", "9"],
+                         "--imputation-s2": ["0.5"], "--constant": ["2.24"],
+                         "--offset": ["1"], "--format": _FORMAT},
+    ("apply", "welch"): {"--s2-1": ["1"], "--s2-2": ["3"], "--n1": ["2", "5"], "--n2": ["5"],
+                         "--df1": ["1", "3"], "--df2": ["4"], "--constant": ["2.24"],
+                         "--offset": ["1"], "--format": _FORMAT},
+    ("apply", "jackknife"): {"--deviations": ["0.5", "-1"], "--constant": ["2.69"],
+                             "--format": _FORMAT},
+}
+
+
 @pytest.fixture(scope="module")
-def capped_runs():
-    return json.loads(run_python(_CAPPED_CHILD, json.dumps({**_SIZES, **_DEGREES})))
+def fuzz_argvs(tmp_path_factory):
+    curve_dir = tmp_path_factory.mktemp("fuzz")
+    curves = ["", str(curve_dir / "curve.csv"), str(curve_dir / "missing" / "curve.csv")]
+    rng = random.Random(43)
+
+    def value(values):
+        return rng.choice(_EDGES if rng.random() < 0.25 else values)
+
+    argvs = {}
+    for run in range(150):
+        command = rng.choice(list(_OPTIONS))
+        argv = list(command)
+        for option, values in _OPTIONS[command].items():
+            if option != "--replicates" and rng.random() < 0.2:
+                continue
+            if values is None:
+                argv += [option, rng.choice(curves)]
+            elif option == "--deviations":
+                argv += [option, *(value(values) for _ in range(rng.randint(1, 3)))]
+            else:
+                argv += [option, value(values)] if values else [option]
+        argvs[f"fuzz-{run}"] = argv
+    return argvs
+
+
+@pytest.fixture(scope="module")
+def capped_runs(fuzz_argvs):
+    argvs = {**_SIZES, **_DEGREES, **fuzz_argvs}
+    return json.loads(run_python(_CAPPED_CHILD, json.dumps(argvs)))
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -215,3 +282,15 @@ def test_size_beyond_memory_exits_3_with_one_line(name, capped_runs):
 def test_huge_max_degree_prints_the_bytes_of_the_largest_estimable(capped_runs):
     assert capped_runs["max-degree-100000000"] == capped_runs["max-degree-26"]
     assert capped_runs["max-degree-26"][0] == 0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the address space size from /proc")
+def test_fuzzed_options_exit_0_2_or_3_with_one_error_line(fuzz_argvs, capped_runs):
+    codes = set()
+    for name, argv in fuzz_argvs.items():
+        code, _, err = capped_runs[name]
+        codes.add(code)
+        assert code in (0, 2, 3) and "Traceback" not in err and "Warning" not in err, (argv, err)
+        assert sum("error:" in line for line in err.splitlines()) == (code != 0), (argv, err)
+    assert codes == {0, 2, 3}  # the seed reaches every outcome

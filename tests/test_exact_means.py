@@ -40,36 +40,66 @@ def exact_ratio_means(ks, nu: int, nodes: int = 400, h: float = 0.1) -> dict[int
 
 
 @pytest.fixture(scope="module")
-def nu1_exact():
-    return exact_ratio_means(REFERENCE_K_VALUES, 1)
+def exact():
+    """Exact mean of every nu = 1, 3 and 80 reference cell, by (K, nu)."""
+    return {(k, nu): mean for nu in (1, 3, 80)
+            for k, mean in exact_ratio_means(REFERENCE_K_VALUES, nu).items()}
+
+
+def _cells(seed: int, nus) -> list[tuple[int, int, float, float]]:
+    """(K, nu, mean, standard error) of each reference cell's ratio in the ``nus`` columns,
+    as the tables draw it."""
+    return [(k, nu, *_ratio_stat(k, nu, 10_000, substream(seed, k, nu, _CRN_TAG)))
+            for nu in nus for k in REFERENCE_K_VALUES]
 
 
 @pytest.fixture(scope="module", params=[1, 8191])
 def nu1_cells(request):
-    """(mean, standard error) of each nu = 1 reference cell's ratio, as the tables draw it."""
-    return [_ratio_stat(k, 1, 10_000, substream(request.param, k, 1, _CRN_TAG))
-            for k in REFERENCE_K_VALUES]
+    return _cells(request.param, (1,))
+
+
+@pytest.fixture(scope="module", params=[1, 8191])
+def nu3_nu80_cells(request):
+    return _cells(request.param, (3, 80))
 
 
 def _z_scores(cells, exact, shift: float = 1.0) -> list[float]:
-    return [(mean * shift - exact[k]) / se for k, (mean, se) in zip(REFERENCE_K_VALUES, cells)]
+    return [(mean * shift - exact[k, nu]) / se for k, nu, mean, se in cells]
+
+
+def _assert_agree(z: list[float]) -> None:
+    assert max(map(abs, z)) <= 4.0, z
+    assert abs(sum(z) / math.sqrt(len(z))) <= 4.0, z
+
+
+def _assert_detected(z: list[float]) -> None:
+    assert sum(z) / math.sqrt(len(z)) > 4.0, z
 
 
 def test_two_components_single_df_is_sqrt2():
     assert exact_ratio_means([2], 1)[2] == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
-def test_doubling_nodes_and_halving_step_agrees():
-    coarse, fine = exact_ratio_means([40], 1)[40], exact_ratio_means([40], 1, 800, 0.05)[40]
-    assert fine == pytest.approx(coarse, rel=1e-9)
+def test_doubling_nodes_and_halving_step_agrees(exact):
+    assert exact_ratio_means([40], 1, 800, 0.05)[40] == pytest.approx(exact[40, 1], rel=1e-9)
 
 
-def test_nu1_cells_agree_with_exact_means(nu1_cells, nu1_exact):
-    z = _z_scores(nu1_cells, nu1_exact)
-    assert max(map(abs, z)) <= 4.0, z
-    assert abs(sum(z) / math.sqrt(len(z))) <= 4.0, z
+@pytest.mark.parametrize("nu", [3, 80])
+def test_doubling_nodes_and_halving_step_agrees_beyond_nu1(nu, exact):
+    assert exact_ratio_means([40], nu, 800, 0.05)[40] == pytest.approx(exact[40, nu], rel=1e-9)
 
 
-def test_half_percent_bias_is_detected(nu1_cells, nu1_exact):
-    z = _z_scores(nu1_cells, nu1_exact, shift=1.005)
-    assert sum(z) / math.sqrt(len(z)) > 4.0, z
+def test_nu1_cells_agree_with_exact_means(nu1_cells, exact):
+    _assert_agree(_z_scores(nu1_cells, exact))
+
+
+def test_half_percent_bias_is_detected(nu1_cells, exact):
+    _assert_detected(_z_scores(nu1_cells, exact, shift=1.005))
+
+
+def test_nu3_and_nu80_cells_agree_with_exact_means(nu3_nu80_cells, exact):
+    _assert_agree(_z_scores(nu3_nu80_cells, exact))
+
+
+def test_half_percent_bias_is_detected_at_nu3_and_nu80(nu3_nu80_cells, exact):
+    _assert_detected(_z_scores(nu3_nu80_cells, exact, shift=1.005))
