@@ -95,12 +95,8 @@ class WelchInput:
         object.__setattr__(self, "n2", _integer(self.n2, "n2", 2, _DOUBLES))
         df1 = self.n1 - 1 if self.df1 is None else self.df1
         df2 = self.n2 - 1 if self.df2 is None else self.df2
-        object.__setattr__(self, "df1", _integer(df1, "df1", 1))
-        object.__setattr__(self, "df2", _integer(df2, "df2", 1))
-        if self.df1 > self.n1 - 1:
-            raise SynthesisError(f"df1 must be <= n1 - 1 = {self.n1 - 1}, got {self.df1}")
-        if self.df2 > self.n2 - 1:
-            raise SynthesisError(f"df2 must be <= n2 - 1 = {self.n2 - 1}, got {self.df2}")
+        object.__setattr__(self, "df1", _integer(df1, "df1", 1, (self.n1 - 1, "n1 - 1")))
+        object.__setattr__(self, "df2", _integer(df2, "df2", 1, (self.n2 - 1, "n2 - 1")))
 
 
 def welch_components(inputs: WelchInput) -> list[VarianceComponent]:
@@ -137,8 +133,7 @@ class JackknifeDeviations:
         for d in devs:  # each s2 = d * d must stay in the doubles too
             if not math.isfinite(d * d):
                 raise SynthesisError(f"deviations must have a finite square, got {d!r}")
-        if len(devs) < 2:
-            raise SynthesisError(f"need at least 2 deviations, got {len(devs)}")
+        _integer(len(devs), "number of deviations", 2)
         object.__setattr__(self, "deviations", devs)
 
 

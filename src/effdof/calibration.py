@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (CalibrationError, EstimatorVariant, SynthesisError, _finite, _integer,
-                         _shrink)
+from .estimators import CalibrationError, EstimatorVariant, _finite, _integer, _shrink
 from .simulation import _MASK64, SimulationGrid, _x2, generate_table
 
 __all__ = [
@@ -73,17 +72,9 @@ class CalibrationCurve:
     x2_min: float
 
 
-def _checked(check, value, name: str, minimum: float = -math.inf):
-    """``check(value, name, minimum)`` of ``estimators``, its error a ``CalibrationError``."""
-    try:
-        return check(value, name, minimum)
-    except SynthesisError as exc:
-        raise CalibrationError(str(exc)) from None
-
-
 def default_c_grid(start: float = 2.01, stop: float = 3.19, step: float = 0.01) -> list[float]:
     """Evenly spaced constants covering the search interval."""
-    start, stop, step = (_checked(_finite, v, name) for v, name in
+    start, stop, step = (_finite(v, name, error=CalibrationError) for v, name in
                          ((start, "start"), (stop, "stop"), (step, "step")))
     if step <= 0.0:
         raise CalibrationError(f"step must be > 0, got {step}")
@@ -105,7 +96,7 @@ def evaluate_x2_curve(c_grid, grid: SimulationGrid,
     from ``grid.seed`` and are shared across constants, so the curve is
     smooth in C.
     """
-    cs = sorted({_checked(_finite, c, "constant", 0.0) for c in c_grid})
+    cs = sorted({_finite(c, "constant", 0.0, error=CalibrationError) for c in c_grid})
     if not cs:
         raise CalibrationError("empty c_grid")
     # Mean of the denominator-only variant (c = 0); the per-C mean is this
@@ -141,13 +132,13 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     from numpy.polynomial.polyutils import mapdomain
     pts = list(points)
     n = len(pts)
-    max_degree = _checked(_integer, max_degree, "max_degree", 1)
-    folds = _checked(_integer, folds, "folds", 2)
-    seed = _checked(_integer, seed, "seed")
+    max_degree = _integer(max_degree, "max_degree", 1, error=CalibrationError)
+    folds = _integer(folds, "folds", 2, error=CalibrationError)
+    seed = _integer(seed, "seed", -math.inf, error=CalibrationError)
     if n < folds:
         raise CalibrationError(f"need at least {folds} points, got {n}")
-    xs = np.asarray([_checked(_finite, p[0], "C") for p in pts])
-    ys = np.asarray([_checked(_finite, p[1], "X2") for p in pts])
+    xs = np.asarray([_finite(p[0], "C", error=CalibrationError) for p in pts])
+    ys = np.asarray([_finite(p[1], "X2", error=CalibrationError) for p in pts])
     # Least squares is linear in ys: fit them at unit scale, so that no square
     # or sum overflows, and scale the coefficients back by the same power of two.
     shift = math.frexp(float(np.abs(ys).max()))[1]
@@ -219,12 +210,11 @@ def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, floa
     smallest value wins, then the smaller abscissa. A polynomial or slope
     that overflows there is an error.
     """
-    lo, hi = (_checked(_finite, interval[i], "interval end") for i in (0, 1))
+    lo, hi = (_finite(interval[i], "interval end", error=CalibrationError) for i in (0, 1))
     if not lo < hi:
         raise CalibrationError(f"invalid interval ({lo}, {hi})")
-    coefs = [_checked(_finite, c, "coefficient") for c in coefficients]
-    if len(coefs) < 2:
-        raise CalibrationError("polynomial degree must be >= 1")
+    coefs = [_finite(c, "coefficient", error=CalibrationError) for c in coefficients]
+    _integer(len(coefs) - 1, "polynomial degree", 1, error=CalibrationError)
     from numpy.polynomial.polynomial import Polynomial, polyvander  # as in fit_polynomial_cv
     poly = Polynomial(coefs)
 

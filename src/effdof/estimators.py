@@ -79,20 +79,20 @@ class CalibrationError(SynthesisError):
     """Invalid input to the calibration pipeline."""
 
 
-def _finite(value, name: str, minimum: float = -math.inf) -> float:
-    """``value`` as a finite float no smaller than ``minimum``; bools, numpy's too, fail."""
+def _finite(value, name: str, minimum: float = -math.inf, *, error=SynthesisError) -> float:
+    """``value`` as a finite float >= ``minimum``, else ``error``; bools, numpy's too, fail."""
     try:
         if type(value) is bool or getattr(getattr(value, "dtype", None), "kind", "") == "b":
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
-        raise SynthesisError(f"{name} must be a number, got {value!r}") from None
+        raise error(f"{name} must be a number, got {value!r}") from None
     except OverflowError:  # its repr may exceed Python's digit limit
-        raise SynthesisError(f"{name} must be finite, got an integer beyond the doubles") from None
+        raise error(f"{name} must be finite, got an integer beyond the doubles") from None
     if not math.isfinite(x):
-        raise SynthesisError(f"{name} must be finite, got {value!r}")
+        raise error(f"{name} must be finite, got {value!r}")
     if x < minimum:
-        raise SynthesisError(f"{name} must be >= {minimum:g}, got {value!r}")
+        raise error(f"{name} must be >= {minimum:g}, got {value!r}")
     return x
 
 
@@ -101,14 +101,15 @@ _DOUBLES = (sys.float_info.max, "the largest double")
 _DRAWS = (2**53, "2^53, beyond which a count is not exact as a double")
 
 
-def _integer(value, name: str, minimum: float, maximum=(math.inf, "")) -> int:
-    """``value`` as an int in [minimum, maximum[0]]; bools and floats such as 2.0 fail."""
+def _integer(value, name: str, minimum: float, maximum=(math.inf, ""), *,
+             error=SynthesisError) -> int:
+    """``value`` as an int in [minimum, maximum[0]], else ``error``; bools and 2.0 fail."""
     if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-        raise SynthesisError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise SynthesisError(f"{name} must be >= {minimum}, got {value!r}")
+        raise error(f"{name} must be >= {minimum}, got {value!r}")
     if value > maximum[0]:  # its repr may exceed Python's digit limit
-        raise SynthesisError(f"{name} must be <= {maximum[0]!r}, {maximum[1]}")
+        raise error(f"{name} must be <= {maximum[0]!r}, {maximum[1]}")
     return int(value)
 
 
@@ -153,9 +154,7 @@ class AdjustmentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "c", _finite(self.c, "c", 0.0))
-        object.__setattr__(self, "p", _integer(self.p, "p", 0))
-        if self.p > 1:
-            raise SynthesisError(f"p must be 0 or 1, got {self.p!r}")
+        object.__setattr__(self, "p", _integer(self.p, "p", 0, (1, "the offset is 0 or 1")))
 
 
 # The two named members of the adjusted family.
@@ -253,7 +252,8 @@ def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     and ``c_eff = c * K / (K - 1)`` for p = 1. The two offset
     parameterizations are algebraically identical under that substitution, so
     folding the offset into the constant keeps the documented equivalence
-    exact in floating point as well.
+    exact in floating point as well; where ``c * K`` overflows, the p = 1
+    term ``1 + c / ((K - 1) * nu_bar_w)`` is used as written.
     """
     comps = _as_components(components)
     if not isinstance(config, AdjustmentConfig):
@@ -264,6 +264,8 @@ def adjusted_df(components, config: AdjustmentConfig) -> DfEstimate:
     ratio = _ratio(comps, plus_two=True)
     nu_bar = weighted_mean_df(comps)
     c_eff = config.c if config.p == 0 else config.c * k / (k - 1.0)
+    if c_eff == math.inf:  # only p = 1 gets here
+        c_eff, k = config.c, k - 1
     return DfEstimate(ratio / _shrink(c_eff, k, nu_bar))
 
 

@@ -123,14 +123,16 @@ class TestWelch:
         with pytest.raises(DegenerateSynthesisError):
             welch_df(WelchInput(0.0, 0.0, 10, 10, 9, 9))
 
-    @pytest.mark.parametrize("args", [
-        (1.0, 1.0, 10, 10, 9, 10),
-        (1.0, 1.0, 10.0, 10),
-        (1.0, float("inf"), 10, 10),
-    ], ids=["df2-above-n2-minus-one", "float-n1", "infinite-s2_2"])
-    def test_validation(self, args):
-        with pytest.raises(SynthesisError):
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 1.0, 10, 10, 9, 10), "df2 must be <= 9, n2 - 1"),
+        ((1.0, 1.0, 10.0, 10), "n1 must be an integer, got 10.0"),
+        ((1.0, float("inf"), 10, 10), "s2_2 must be finite, got inf"),
+        ((4.0, 9.0, 5, 8, 9), "df1 must be <= 4, n1 - 1"),
+    ], ids=["df2-above-n2-minus-one", "float-n1", "infinite-s2_2", "df1-above-n1-minus-one"])
+    def test_validation(self, args, message):
+        with pytest.raises(SynthesisError) as exc:
             WelchInput(*args)
+        assert type(exc.value) is SynthesisError and str(exc.value) == message
 
 
 class TestJackknife:
@@ -164,16 +166,19 @@ class TestJackknife:
         with pytest.raises(SynthesisError):
             JackknifeDeviations((1.0,))
 
-    @pytest.mark.parametrize("args", [
-        ((1.0, float("nan")),),
-        ((1.0, "x"),),
-        (5,),
-        ("12",),
-        (b"12",),
-    ], ids=["nan-deviation", "text-deviation", "not-a-sequence", "string", "bytes"])
-    def test_validation(self, args):
-        with pytest.raises(SynthesisError):
+    @pytest.mark.parametrize("args, message", [
+        (((1.0, float("nan")),), "deviations must be finite, got nan"),
+        (((1.0, "x"),), "deviations must be a number, got 'x'"),
+        ((5,), "deviations must be a sequence of numbers, got 5"),
+        (("12",), "deviations must be a sequence of numbers, got '12'"),
+        ((b"12",), "deviations must be a sequence of numbers, got b'12'"),
+        (((0.4,),), "number of deviations must be >= 2, got 1"),
+    ], ids=["nan-deviation", "text-deviation", "not-a-sequence", "string", "bytes",
+            "one-deviation"])
+    def test_validation(self, args, message):
+        with pytest.raises(SynthesisError) as exc:
             JackknifeDeviations(*args)
+        assert type(exc.value) is SynthesisError and str(exc.value) == message
 
     @pytest.mark.parametrize("big", [1e200, -1.5e154])
     def test_deviation_whose_square_overflows(self, big):

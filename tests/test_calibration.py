@@ -348,19 +348,21 @@ class TestFindCOpt:
         with pytest.raises(CalibrationError, match="overflows"):
             find_c_opt(coefficients, interval)
 
-    @pytest.mark.parametrize("coefficients, interval", [
-        ((float("nan"), 1.0), (0.0, 1.0)),
-        ((1.0, "a"), (0.0, 1.0)),
-        ((1.0, None), (0.0, 1.0)),
-        ((1.0, 1.0), ("x", 1.0)),
-        ((1.0, 1.0), (0.0, None)),
-        ((1.0, 1.0), (float("nan"), 1.0)),
+    @pytest.mark.parametrize("coefficients, interval, message", [
+        ((float("nan"), 1.0), (0.0, 1.0), "coefficient must be finite, got nan"),
+        ((1.0, "a"), (0.0, 1.0), "coefficient must be a number, got 'a'"),
+        ((1.0, None), (0.0, 1.0), "coefficient must be a number, got None"),
+        ((1.0, 1.0), ("x", 1.0), "interval end must be a number, got 'x'"),
+        ((1.0, 1.0), (0.0, None), "interval end must be a number, got None"),
+        ((1.0, 1.0), (float("nan"), 1.0), "interval end must be finite, got nan"),
+        ((1.0,), (2.0, 3.2), "polynomial degree must be >= 1, got 0"),
     ], ids=["nan-coefficient", "text-coefficient", "none-coefficient", "text-start",
-            "none-end", "nan-start"])
-    def test_non_numeric_or_non_finite_input_rejected(self, coefficients, interval):
+            "none-end", "nan-start", "degree-zero"])
+    def test_non_numeric_or_non_finite_input_rejected(self, coefficients, interval, message):
         # A NaN coefficient once returned (lo, inf) without a word.
-        with pytest.raises(CalibrationError, match="must be"):
+        with pytest.raises(CalibrationError) as exc:
             find_c_opt(coefficients, interval)
+        assert type(exc.value) is CalibrationError and str(exc.value) == message
 
 
 class TestEvaluateX2Curve:

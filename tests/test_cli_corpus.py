@@ -149,6 +149,14 @@ def test_empty_curve_out_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+def test_offset_one_at_a_constant_whose_fold_overflows_prints_a_positive_value(capsys):
+    # c * K / (K - 1) is inf here: the value once printed as 0.0 with exit 0.
+    assert main(["apply", "rubin", "--m", "2", "--sampling-s2", "1", "--sampling-df", "1",
+                 "--imputation-s2", "1", "--constant", "1e308", "--offset", "1",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] > 0
+
+
 # Sizes beyond a stated bound, each refused before anything is allocated: once
 # a traceback (OverflowError, or numpy's "Maximum allowed dimension exceeded").
 _BOUNDED = {

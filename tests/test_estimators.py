@@ -114,10 +114,17 @@ class TestAdjustmentConfig:
         with pytest.raises(SynthesisError):
             AdjustmentConfig(2.24, 2)
 
-    @pytest.mark.parametrize("p", [-1, 1.0, True, "1"])
-    def test_offset_must_be_an_integer_0_or_1(self, p):
-        with pytest.raises(SynthesisError, match="p must be"):
+    @pytest.mark.parametrize("p, message", [
+        (-1, "p must be >= 0, got -1"),
+        (1.0, "p must be an integer, got 1.0"),
+        (True, "p must be an integer, got True"),
+        ("1", "p must be an integer, got '1'"),
+        (2, "p must be <= 1, the offset is 0 or 1"),
+    ], ids=["-1", "1.0", "True", "1", "2"])
+    def test_offset_must_be_an_integer_0_or_1(self, p, message):
+        with pytest.raises(SynthesisError) as exc:
             AdjustmentConfig(2.24, p)
+        assert type(exc.value) is SynthesisError and str(exc.value) == message
 
     def test_constant_beyond_doubles_rejected(self):
         with pytest.raises(SynthesisError, match="c must be finite"):
@@ -237,6 +244,13 @@ class TestAdjusted:
         est = adjusted_df(comps((1, 4, 10), (1.2, 1, 4)), AdjustmentConfig(2.24, 0))
         assert est.value == pytest.approx(expected, rel=1e-12)
         assert est.value == pytest.approx(14.733510312436186, rel=1e-12)
+
+    def test_offset_one_where_the_folded_constant_overflows(self):
+        # c * K / (K - 1) is inf here, and the value once came out as exactly 0.0.
+        components = comps((1, 4, 3), (2, 9, 5))
+        value = adjusted_df(components, AdjustmentConfig(1e308, 1)).value
+        exact = _exact_df(components, Fraction(1e308) * 2)  # c * K / (K - 1) at K = 2
+        assert value > 0 and abs(Fraction(value) / exact - 1) <= 1e-12
 
     def test_offset_needs_two_components(self):
         with pytest.raises(SynthesisError, match="offset exceeds component count"):

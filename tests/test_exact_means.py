@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from effdof.reference import REFERENCE_K_VALUES
+from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
 from effdof.simulation import _CRN_TAG, _ratio_stat, substream
 
 
@@ -41,8 +41,8 @@ def exact_ratio_means(ks, nu: int, nodes: int = 400, h: float = 0.1) -> dict[int
 
 @pytest.fixture(scope="module")
 def exact():
-    """Exact mean of every nu = 1, 3 and 80 reference cell, by (K, nu)."""
-    return {(k, nu): mean for nu in (1, 3, 80)
+    """Exact mean of every reference cell, by (K, nu)."""
+    return {(k, nu): mean for nu in REFERENCE_NU_VALUES
             for k, mean in exact_ratio_means(REFERENCE_K_VALUES, nu).items()}
 
 
@@ -61,6 +61,11 @@ def nu1_cells(request):
 @pytest.fixture(scope="module", params=[1, 8191])
 def nu3_nu80_cells(request):
     return _cells(request.param, (3, 80))
+
+
+@pytest.fixture(scope="module", params=[1, 8191])
+def nu5_to_nu30_cells(request):
+    return _cells(request.param, (5, 7, 9, 15, 30))
 
 
 def _z_scores(cells, exact, shift: float = 1.0) -> list[float]:
@@ -84,7 +89,7 @@ def test_doubling_nodes_and_halving_step_agrees(exact):
     assert exact_ratio_means([40], 1, 800, 0.05)[40] == pytest.approx(exact[40, 1], rel=1e-9)
 
 
-@pytest.mark.parametrize("nu", [3, 80])
+@pytest.mark.parametrize("nu", [3, 9, 30, 80])
 def test_doubling_nodes_and_halving_step_agrees_beyond_nu1(nu, exact):
     assert exact_ratio_means([40], nu, 800, 0.05)[40] == pytest.approx(exact[40, nu], rel=1e-9)
 
@@ -103,3 +108,11 @@ def test_nu3_and_nu80_cells_agree_with_exact_means(nu3_nu80_cells, exact):
 
 def test_half_percent_bias_is_detected_at_nu3_and_nu80(nu3_nu80_cells, exact):
     _assert_detected(_z_scores(nu3_nu80_cells, exact, shift=1.005))
+
+
+def test_nu5_to_nu30_cells_agree_with_exact_means(nu5_to_nu30_cells, exact):
+    _assert_agree(_z_scores(nu5_to_nu30_cells, exact))
+
+
+def test_half_percent_bias_is_detected_at_nu5_to_nu30(nu5_to_nu30_cells, exact):
+    _assert_detected(_z_scores(nu5_to_nu30_cells, exact, shift=1.005))
