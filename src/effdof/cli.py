@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 0 if exc.code is None else int(exc.code)
+        return exc.code
     try:
         return args.handler(args)
     except (InputError, OSError, UnicodeDecodeError, SynthesisError) as exc:

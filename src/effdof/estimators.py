@@ -57,11 +57,6 @@ RECOMMENDED_C = 2.24
 DEFAULT_SEED = 1
 DEFAULT_REPLICATES = 10_000
 
-# Method names of EstimatorVariant, printed by the CLI.
-SATTERTHWAITE = "satterthwaite"
-VON_DAVIER_2025 = "vd2025"
-ADJUSTED = "adjusted"
-
 
 class SynthesisError(ValueError):
     """Invalid or degenerate input to an effective-d.f. computation."""
@@ -284,7 +279,7 @@ def recommended_df(components) -> DfEstimate:
 
 @dataclass(frozen=True)
 class EstimatorVariant:
-    """Selector for one estimator of the family.
+    """One estimator of the family: Satterthwaite's ratio if ``config`` is None, else adjusted.
 
     Used wherever a method has to travel as data: simulation tables, the
     calibration study, and the CLI. Variants with identical parameters (for
@@ -293,53 +288,35 @@ class EstimatorVariant:
     variant's table is drawn from the same substreams.
     """
 
-    method: str
+    label: str
     config: AdjustmentConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.method == SATTERTHWAITE:
-            if self.config is not None:
-                raise SynthesisError("satterthwaite takes no adjustment config")
-        elif self.method in (VON_DAVIER_2025, ADJUSTED):
-            if not isinstance(self.config, AdjustmentConfig):
-                raise SynthesisError(f"{self.method} needs an AdjustmentConfig, not {self.config!r}")
-            if self.method == VON_DAVIER_2025 and self.config != _VD2025:
-                raise SynthesisError(f"vd2025 is adjusted with c=2, p=1, got {self.config}")
-        else:
-            raise SynthesisError(f"unknown method {self.method!r}")
+        if self.config is not None and not isinstance(self.config, AdjustmentConfig):
+            raise SynthesisError(f"config must be None or an AdjustmentConfig, got {self.config!r}")
 
     @classmethod
     def satterthwaite(cls) -> "EstimatorVariant":
-        return cls(SATTERTHWAITE)
+        return cls("satterthwaite")
 
     @classmethod
     def adjusted(cls, c: float, p: int = 0) -> "EstimatorVariant":
-        return cls(ADJUSTED, AdjustmentConfig(c, p))
+        config = AdjustmentConfig(c, p)
+        return cls(f"adjusted(c={config.c:g}, p={config.p})", config)
 
     @classmethod
     def von_davier_2025(cls) -> "EstimatorVariant":
-        return cls(VON_DAVIER_2025, _VD2025)
+        return cls("vd2025", _VD2025)
 
     @classmethod
     def recommended(cls) -> "EstimatorVariant":
-        return cls(ADJUSTED, _RECOMMENDED)
+        return cls.adjusted(RECOMMENDED_C)
 
     @property
     def tag(self) -> str:
-        """Stable identifier of the parameters; parameter-identical variants share it.
-
-        Simulation streams do not depend on it.
-        """
-        if self.method == SATTERTHWAITE:
-            return SATTERTHWAITE
-        return f"adjusted(c={self.config.c!r},p={self.config.p})"
-
-    @property
-    def label(self) -> str:
-        """Short human-readable name for table headers."""
-        if self.method != ADJUSTED:
-            return self.method
-        return f"adjusted(c={self.config.c:g}, p={self.config.p})"
+        """Stable identifier of the parameters; parameter-identical variants share it."""
+        cfg = self.config
+        return "satterthwaite" if cfg is None else f"adjusted(c={cfg.c!r},p={cfg.p})"
 
     def evaluate(self, components) -> DfEstimate:
         """Apply this variant to a list of components."""

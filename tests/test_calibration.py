@@ -1,6 +1,7 @@
 """Tests for the constant-calibration pipeline."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestFitPolynomialCv:
         first = fit_polynomial_cv(points, max_degree=6, folds=10, seed=123)
         second = fit_polynomial_cv(points, max_degree=6, folds=10, seed=123)
         assert first == second
+
+    def test_defaults(self):
+        fit = inspect.signature(fit_polynomial_cv).parameters
+        assert (fit["max_degree"].default, fit["folds"].default, fit["seed"].default) == (6, 10, 0)
+        assert inspect.signature(run_calibration).parameters["folds"].default == 10
+
+    def test_fold_seed_is_reduced_modulo_2_64(self, monkeypatch):
+        # Seeds -1 and 2^64 - 1 deal the same folds, as they draw the same cells.
+        seeds, default_rng = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda s: seeds.append(s) or default_rng(s))
+        rng = default_rng(8)
+        points = [(float(x), float(np.sin(x) + rng.normal(0, 0.05))) for x in np.linspace(0, 3, 40)]
+        assert fit_polynomial_cv(points, seed=-1) == fit_polynomial_cv(points, seed=2**64 - 1)
+        assert seeds == [2**64 - 1, 2**64 - 1]
 
     def test_r_squared_matches_recomputation(self):
         rng = np.random.default_rng(9)

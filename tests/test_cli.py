@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from effdof import VarianceComponent, satterthwaite_df
+from effdof import DEFAULT_REPLICATES, VarianceComponent, satterthwaite_df
 from effdof.cli import _ADAPTERS, _TABLE_METHODS, build_parser, main, read_components
 from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
 from effdof.simulation import _x2, sample_chi2_matrix
@@ -545,6 +545,42 @@ class TestParserBasics:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+class TestParserDefaults:
+    def test_replicates(self):
+        assert DEFAULT_REPLICATES == 10_000
+        for argv in (["reproduce", "--table", "1"], ["calibrate"]):
+            assert build_parser().parse_args(argv).replicates == 10_000
+
+    def test_calibrate(self):
+        args = build_parser().parse_args(["calibrate"])
+        assert (args.kmax, args.numax, args.folds) == (5, 5, 10)
+
+    def test_density(self):
+        args = build_parser().parse_args(["density"])
+        assert (args.replicates, args.bins) == (1_000_000, 50)
+
+    @pytest.mark.parametrize("argv, minimum", [(["reproduce", "--table", "1"], 2), (["density"], 1)],
+                             ids=["reproduce", "density"])
+    def test_replicates_minimum(self, argv, minimum, capsys):
+        assert build_parser().parse_args([*argv, "--replicates", str(minimum)]).replicates == minimum
+        assert main([*argv, "--replicates", str(minimum - 1)]) == 2
+        assert f"must be >= {minimum}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "FILE"],
+        ["apply", "rubin", "--m", "5", "--sampling-s2", "4", "--sampling-df", "10",
+         "--imputation-s2", "1"],
+    ], ids=["estimate", "apply-rubin"])
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+    def test_explicit_offset_zero_prints_the_default_bytes(self, argv, fmt, tmp_path, capsys):
+        argv = [write_csv(tmp_path / "c.csv", ["1,1,1", "2,3,4"]) if a == "FILE" else a
+                for a in argv] + ["--format", fmt]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main([*argv, "--offset", "0"]) == 0
+        assert capsys.readouterr().out == default
 
 
 # Component files that read_components rejects before building a component.

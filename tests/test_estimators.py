@@ -4,6 +4,7 @@ Expected values in this module are hand evaluations of the defining ratios,
 written out as the arithmetic expressions they came from.
 """
 
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -309,30 +310,32 @@ class TestEstimatorVariant:
         assert EstimatorVariant.von_davier_2025().evaluate(cs).value == 2.0
         assert EstimatorVariant.recommended().evaluate(cs).value == pytest.approx(6.0 / 2.12)
 
-    def test_invalid_combinations_rejected(self):
-        with pytest.raises(ValueError):
-            EstimatorVariant("satterthwaite", AdjustmentConfig(1.0, 0))
-        with pytest.raises(ValueError):
-            EstimatorVariant("adjusted", None)
-        with pytest.raises(ValueError):
-            EstimatorVariant("mystery")
-        with pytest.raises(ValueError):
-            EstimatorVariant("vd2025", AdjustmentConfig(3.0, 0))
+    def test_constructors_label_and_configure(self):
+        variants = [EstimatorVariant.satterthwaite(), EstimatorVariant.von_davier_2025(),
+                    EstimatorVariant.recommended(), EstimatorVariant.adjusted(2, 1)]
+        assert [(v.label, v.config) for v in variants] == [
+            ("satterthwaite", None), ("vd2025", AdjustmentConfig(2.0, 1)),
+            ("adjusted(c=2.24, p=0)", AdjustmentConfig(2.24, 0)),
+            ("adjusted(c=2, p=1)", AdjustmentConfig(2.0, 1))]
 
-    @pytest.mark.parametrize("method, config", [
-        ("satterthwaite", AdjustmentConfig(1.0, 0)),
-        ("adjusted", None),
-        ("mystery", None),
-        ("vd2025", AdjustmentConfig(3.0, 0)),
-        # A config that is not an AdjustmentConfig once built a variant whose
-        # .label and .evaluate then failed.
+    def test_adjusted_checks_its_constant_as_adjustment_config_does(self):
+        with pytest.raises(SynthesisError, match=r"^c must be >= 0, got -1$"):
+            EstimatorVariant.adjusted(-1)
+
+    def test_offset_defaults_to_zero(self):
+        assert inspect.signature(AdjustmentConfig).parameters["p"].default == 0
+        assert inspect.signature(EstimatorVariant.adjusted).parameters["p"].default == 0
+
+    @pytest.mark.parametrize("label, config", [
+        # A config that is not an AdjustmentConfig would build a variant whose
+        # .tag and .evaluate then fail.
         ("adjusted", 5),
         ("adjusted", (2.24, 0)),
         ("vd2025", 2.0),
     ])
-    def test_invalid_combinations_raise_synthesis_error(self, method, config):
+    def test_invalid_combinations_raise_synthesis_error(self, label, config):
         with pytest.raises(SynthesisError):
-            EstimatorVariant(method, config)
+            EstimatorVariant(label, config)
 
 
 def _all_variant_values(components):

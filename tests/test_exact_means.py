@@ -16,8 +16,12 @@ import math
 import numpy as np
 import pytest
 
+from effdof import EstimatorVariant
 from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
-from effdof.simulation import _CRN_TAG, _ratio_stat, substream
+from effdof.simulation import _CRN_TAG, _factor, _ratio_stat, substream
+
+#: A component count far beyond the tables', where only the limit K -> inf shows.
+LARGE_K = 10_000
 
 
 def exact_ratio_means(ks, nu: int, nodes: int = 400, h: float = 0.1) -> dict[int, float]:
@@ -41,9 +45,9 @@ def exact_ratio_means(ks, nu: int, nodes: int = 400, h: float = 0.1) -> dict[int
 
 @pytest.fixture(scope="module")
 def exact():
-    """Exact mean of every reference cell, by (K, nu)."""
+    """Exact mean of every reference cell and of K = LARGE_K, by (K, nu)."""
     return {(k, nu): mean for nu in REFERENCE_NU_VALUES
-            for k, mean in exact_ratio_means(REFERENCE_K_VALUES, nu).items()}
+            for k, mean in exact_ratio_means((*REFERENCE_K_VALUES, LARGE_K), nu).items()}
 
 
 def _cells(seed: int, nus) -> list[tuple[int, int, float, float]]:
@@ -86,7 +90,9 @@ def test_two_components_single_df_is_sqrt2():
 
 
 def test_doubling_nodes_and_halving_step_agrees(exact):
-    assert exact_ratio_means([40], 1, 800, 0.05)[40] == pytest.approx(exact[40, 1], rel=1e-9)
+    finer = exact_ratio_means([40, LARGE_K], 1, 800, 0.05)
+    assert finer[40] == pytest.approx(exact[40, 1], rel=1e-9)
+    assert finer[LARGE_K] == pytest.approx(exact[LARGE_K, 1], rel=1e-8)
 
 
 @pytest.mark.parametrize("nu", [3, 9, 30, 80])
@@ -116,3 +122,27 @@ def test_nu5_to_nu30_cells_agree_with_exact_means(nu5_to_nu30_cells, exact):
 
 def test_half_percent_bias_is_detected_at_nu5_to_nu30(nu5_to_nu30_cells, exact):
     _assert_detected(_z_scores(nu5_to_nu30_cells, exact, shift=1.005))
+
+
+def _relative_bias(variant: EstimatorVariant, k: int, nu: int, exact) -> float:
+    """Exact mean of ``variant`` at the cell (K, nu), relative to K nu, minus 1."""
+    return exact[k, nu] * _factor(variant, k, nu) / (k * nu) - 1.0
+
+
+@pytest.mark.parametrize("nu", [1, 3, 9, 30, 80])
+def test_recommended_estimator_is_consistent_as_k_grows(nu, exact):
+    # At nu = 1 the bias is 0.068 at K = 10 and 2.4e-4 at K = LARGE_K.
+    assert abs(_relative_bias(EstimatorVariant.recommended(), LARGE_K, nu, exact)) < 3e-4
+
+
+@pytest.mark.parametrize("nu", [1, 3, 9, 30, 80])
+def test_satterthwaite_bias_tends_to_minus_two_over_nu_plus_two(nu, exact):
+    bias = _relative_bias(EstimatorVariant.satterthwaite(), LARGE_K, nu, exact)
+    assert bias == pytest.approx(-2.0 / (nu + 2), abs=1e-3)
+
+
+@pytest.mark.parametrize("nu", [1, 3, 9, 30, 80])
+def test_vd2025_equals_satterthwaite_at_two_components(nu, exact):
+    # Its p = 1 shrink term 1 + 2/nu cancels the nu + 2 denominator exactly.
+    assert _relative_bias(EstimatorVariant.von_davier_2025(), 2, nu, exact) == pytest.approx(
+        _relative_bias(EstimatorVariant.satterthwaite(), 2, nu, exact), rel=1e-12)

@@ -29,10 +29,8 @@ def test_public_names():
     for name in effdof.__all__:
         assert hasattr(effdof, name), name
     # Helpers the package does not export stay importable from their modules.
-    from effdof.estimators import ADJUSTED
     from effdof.simulation import sample_chi2_matrix
     assert callable(sample_chi2_matrix)
-    assert ADJUSTED == "adjusted"
 
 
 # The import contract: numpy only where draws happen, numpy.polynomial only where

@@ -683,6 +683,11 @@ class TestSubstream:
         assert np.all(np.isfinite(draws))
         assert SimulationGrid((2,), (1,), seed=-17).seed == -17
 
+    @pytest.mark.parametrize("seed, same", [(-1, 2**64 - 1), (2**64, 0)])
+    def test_seed_is_reduced_modulo_2_64(self, seed, same):
+        assert np.array_equal(substream(seed, 3, 2, "x").standard_normal(4),
+                              substream(same, 3, 2, "x").standard_normal(4))
+
     @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1"])
     def test_seed_must_be_an_integer(self, seed):
         with pytest.raises(SynthesisError, match="seed"):
