@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .estimators import (
-    _DOUBLES,
+    _DRAWS,
     _RECOMMENDED,
     AdjustmentConfig,
     DfEstimate,
@@ -53,10 +53,10 @@ class RubinVariance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "sampling_s2", _finite(self.sampling_s2, "sampling_s2", 0.0))
         object.__setattr__(self, "sampling_df",
-                           _integer(self.sampling_df, "sampling_df", 1, _DOUBLES))
+                           _integer(self.sampling_df, "sampling_df", 1, _DRAWS))
         object.__setattr__(self, "imputation_s2",
                            _finite(self.imputation_s2, "imputation_s2", 0.0))
-        object.__setattr__(self, "m", _integer(self.m, "m", 2, _DOUBLES))
+        object.__setattr__(self, "m", _integer(self.m, "m", 2, _DRAWS))
 
 
 def rubin_components(inputs: RubinVariance) -> list[VarianceComponent]:
@@ -91,8 +91,8 @@ class WelchInput:
     def __post_init__(self) -> None:
         object.__setattr__(self, "s2_1", _finite(self.s2_1, "s2_1", 0.0))
         object.__setattr__(self, "s2_2", _finite(self.s2_2, "s2_2", 0.0))
-        object.__setattr__(self, "n1", _integer(self.n1, "n1", 2, _DOUBLES))
-        object.__setattr__(self, "n2", _integer(self.n2, "n2", 2, _DOUBLES))
+        object.__setattr__(self, "n1", _integer(self.n1, "n1", 2, _DRAWS))
+        object.__setattr__(self, "n2", _integer(self.n2, "n2", 2, _DRAWS))
         df1 = self.n1 - 1 if self.df1 is None else self.df1
         df2 = self.n2 - 1 if self.df2 is None else self.df2
         object.__setattr__(self, "df1", _integer(df1, "df1", 1, (self.n1 - 1, "n1 - 1")))

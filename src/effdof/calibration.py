@@ -149,6 +149,8 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     if not (hi > lo and 0.0 < 2.0 / (hi - lo) < math.inf
             and math.isfinite((hi + lo) / (hi - lo))):
         raise CalibrationError(f"cannot map the sampled span [{lo!r}, {hi!r}] onto [-1, 1]")
+    if ys.min() == ys.max():  # the mean of equal doubles need not equal them, so sst may be > 0
+        raise CalibrationError("the sampled X2 curve is flat: every constant gives the same X2")
 
     # Reduced as ``substream`` reduces it, so any seed a grid admits works here.
     order = np.random.default_rng(seed & _MASK64).permutation(n)
@@ -196,10 +198,7 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     pred = Polynomial(unit)(xs)
     sst = float(np.sum((ys - ys.mean()) ** 2))
     sse = float(np.sum((ys - pred) ** 2))
-    if sst == 0.0 and sse > 0.0:
-        raise CalibrationError("the sampled X2 curve is flat: every constant gives the same X2")
-    r_squared = 1.0 if sst == 0.0 else 1.0 - sse / sst
-    return PolynomialFit(degree, coefficients, r_squared)
+    return PolynomialFit(degree, coefficients, 1.0 - sse / sst)
 
 
 def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, float]:

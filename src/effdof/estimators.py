@@ -91,8 +91,7 @@ def _finite(value, name: str, minimum: float = -math.inf, *, error=SynthesisErro
     return x
 
 
-# Upper bounds of an integer argument, each with the reason it holds.
-_DOUBLES = (sys.float_info.max, "the largest double")
+# The upper bound of every count and d.f., with the reason it holds.
 _DRAWS = (2**53, "2^53, beyond which a count is not exact as a double")
 
 
@@ -116,9 +115,9 @@ class VarianceComponent:
     the synthesis and should be dropped by the caller. Negative weights could
     produce a negative synthesized variance and are rejected outright.
     Component d.f. must be positive integers, matching the chi-square model
-    under which the adjustment was derived, and no larger than the largest
-    double. ``s2 = 0`` is accepted (the component then contributes nothing to
-    either sum).
+    under which the adjustment was derived, and at most 2^53, so that
+    ``nu + 2`` is exact as a double. ``s2 = 0`` is accepted (the component
+    then contributes nothing to either sum).
     """
 
     weight: float
@@ -131,7 +130,7 @@ class VarianceComponent:
             raise SynthesisError(f"weight must be > 0, got {self.weight!r}")
         object.__setattr__(self, "weight", w)
         object.__setattr__(self, "s2", _finite(self.s2, "s2", 0.0))
-        object.__setattr__(self, "df", _integer(self.df, "df", 1, _DOUBLES))
+        object.__setattr__(self, "df", _integer(self.df, "df", 1, _DRAWS))
 
 
 @dataclass(frozen=True)
@@ -191,36 +190,22 @@ def _ratio(comps: tuple[VarianceComponent, ...], plus_two: bool) -> float:
         if top is None:
             raise DegenerateSynthesisError("degenerate synthesis: all component variances are zero")
         terms = [math.ldexp(m, e - top) for m, e in parts]
+    # The top term is >= 1/4 and each d.f. <= 2^53: the denominator stays normal.
     offset = 2 if plus_two else 0
-    scale = 1
-    den = sum(t * t / (c.df + offset) for t, c in zip(terms, comps))
-    if den < sys.float_info.min:
-        # Only d.f. near the largest double get here: take them relative to
-        # the largest one so the sum stays normal, then scale the ratio back.
-        scale = max(c.df for c in comps) + offset
-        den = sum(t * t / ((c.df + offset) / scale) for t, c in zip(terms, comps))
-    value = sum(terms) ** 2 / den * scale
-    if not math.isfinite(value):
-        raise SynthesisError("effective d.f. is not finite for these components")
-    return value
+    return sum(terms) ** 2 / sum(t * t / (c.df + offset) for t, c in zip(terms, comps))
 
 
 def weighted_mean_df(components) -> float:
     """Weighted average of the component d.f.: ``sum(w * df) / sum(w)``.
 
     Equals the plain arithmetic mean of the d.f. when all weights are equal.
+    Every d.f. is at most 2^53, so the mean is finite for any number of components.
     """
     comps = _as_components(components)
     # Weights relative to the largest one keep both sums finite at any scale.
     top = max(c.weight for c in comps)
     wsum = sum(c.weight / top for c in comps)
-    mean = sum(c.weight / top * c.df for c in comps) / wsum
-    if mean == math.inf:
-        # Only d.f. near the largest double get here: take them relative to
-        # the largest one, so the mean of the ratios is at most 1, and scale back.
-        dtop = max(c.df for c in comps)
-        mean = sum(c.weight / top * (c.df / dtop) for c in comps) / wsum * dtop
-    return mean
+    return sum(c.weight / top * c.df for c in comps) / wsum
 
 
 def satterthwaite_df(components) -> DfEstimate:

@@ -70,11 +70,14 @@ class TestRubin:
             RubinVariance(**kwargs)
 
     @pytest.mark.parametrize("field", ["sampling_df", "m"])
-    def test_count_beyond_the_doubles_names_its_field(self, field):
+    def test_count_beyond_2_53_names_its_field(self, field):
         # Each was once refused as the "df" of the component built from it.
-        counts = {"sampling_df": 10, "m": 5, field: 10 ** 400}
-        with pytest.raises(SynthesisError, match=f"^{field} must be <= .*the largest double"):
-            RubinVariance(4.0, counts["sampling_df"], 1.0, counts["m"])
+        inputs = {"sampling_s2": 4.0, "sampling_df": 10, "imputation_s2": 1.0, "m": 5}
+        assert rubin_df(RubinVariance(**{**inputs, field: 2**53})).value > 0
+        message = rf"^{field} must be <= 9007199254740992, 2\^53"
+        for count in (2**53 + 1, 10**400):
+            with pytest.raises(SynthesisError, match=message):
+                RubinVariance(**{**inputs, field: count})
 
     def test_scale_invariance(self):
         base = rubin_df(RubinVariance(4.0, 10, 1.0, 5)).value
@@ -109,11 +112,14 @@ class TestWelch:
             WelchInput(1.0, 1.0, 10, 10, 10, 9)
 
     @pytest.mark.parametrize("field", ["n1", "n2"])
-    def test_sample_size_beyond_the_doubles_refused(self, field):
+    def test_sample_size_beyond_2_53_refused(self, field):
         # 1 / n once raised OverflowError when the components were built.
-        sizes = {"n1": 5, "n2": 5, field: 10 ** 400}
-        with pytest.raises(SynthesisError, match=f"{field} must be <= .*the largest double"):
-            WelchInput(1.0, 1.0, sizes["n1"], sizes["n2"], 4, 4)
+        inputs = {"s2_1": 1.0, "s2_2": 1.0, "n1": 5, "n2": 5, "df1": 4, "df2": 4}
+        assert welch_df(WelchInput(**{**inputs, field: 2**53})).value > 0
+        message = rf"^{field} must be <= 9007199254740992, 2\^53"
+        for size in (2**53 + 1, 10**400):
+            with pytest.raises(SynthesisError, match=message):
+                WelchInput(**{**inputs, field: size})
 
     def test_df_defaults_to_n_minus_one(self):
         inputs = WelchInput(2.5, 4.0, 12, 30)

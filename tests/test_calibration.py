@@ -227,6 +227,30 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError, match="too wide"):
             fit_polynomial_cv(points)
 
+    def test_power_basis_guard_admits_the_widest_linear_span(self):
+        # (2 / span)^1 = 2^-1022, the smallest normal double: still admitted.
+        points = [(i / 11 * 2.0**1023, float(i)) for i in range(12)]
+        assert fit_polynomial_cv(points).degree == 1
+
+    @pytest.mark.parametrize("exponent, admitted", [(-511, False), (-510, True)])
+    def test_power_basis_guard_on_a_narrow_quadratic(self, exponent, admitted):
+        # (2 / span)^2 is 2^1024 at span 2^-511, just beyond the doubles, and 2^1022 at 2^-510.
+        points = [(i / 11 * 2.0**exponent, (i / 11) ** 2) for i in range(12)]
+        if admitted:
+            assert fit_polynomial_cv(points).degree == 2
+        else:
+            with pytest.raises(CalibrationError, match="too wide or narrow for degree 2"):
+                fit_polynomial_cv(points)
+
+    @pytest.mark.parametrize("n", [12, 20, 119])
+    @pytest.mark.parametrize("x2", [0.0, 0.1, 3.7, 5.0])
+    def test_flat_curve_rejected(self, x2, n):
+        # The mean of n copies of 0.1 is not always 0.1, so the spread about it
+        # once read as a curve and the fit printed an R^2 far below 0.
+        points = [(i / 10, x2) for i in range(n)]
+        with pytest.raises(CalibrationError, match="flat"):
+            fit_polynomial_cv(points)
+
     @pytest.mark.parametrize("span", [1e3, 1e10, 1e30, 1e60, 1e80, 1e100, 1e150, 1e200, 1e300])
     def test_every_admitted_span_keeps_the_fit_in_powers_of_c(self, span):
         # Reference: the same degree fitted and evaluated in the mapped domain.

@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import io
 import json
-import sys
 
 import numpy as np
 import pytest
@@ -201,11 +200,17 @@ class TestEstimateCommand:
         assert main(["estimate", str(path)]) == 2
         assert "row 1: weight must be finite" in capsys.readouterr().err
 
-    def test_df_near_the_largest_double_exits_0(self, tmp_path, capsys):
-        d = int(sys.float_info.max)
-        path = write_csv(tmp_path / "c.csv", [f"1,1,{d}"])
+    def test_df_at_2_53_exits_0(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "c.csv", [f"1,1,{2**53}"])
         assert main(["estimate", path, "--method", "satterthwaite", "--format", "csv"]) == 0
-        assert float(parse_csv(capsys.readouterr().out)[0]["value"]) == float(d)
+        assert float(parse_csv(capsys.readouterr().out)[0]["value"]) == 2.0**53
+
+    @pytest.mark.parametrize("df", [2**53 + 1, 10**400])
+    def test_df_beyond_2_53_exits_2_naming_the_row(self, tmp_path, capsys, df):
+        path = write_csv(tmp_path / "c.csv", ["1,1,3", f"1,1,{df}"])
+        assert main(["estimate", path]) == 2
+        err = capsys.readouterr().err
+        assert "row 3: df must be <= 9007199254740992, 2^53" in err and err.count("\n") == 1
 
     def test_unknown_method_flag_exits_2(self, tmp_path):
         path = write_csv(tmp_path / "c.csv", ["1,1,1"])
@@ -519,16 +524,22 @@ class TestCalibrateCommand:
         assert 1.5 <= summary["c_opt"] <= 1.9
 
 
+# Every 1 + C/(K nu) rounds to 1: once only seeds 1 and 6 of 1-12 exited 3.
+_FLAT = ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bounds", [
     ["--cmin", "0", "--cmax", "1e300", "--step", "1e299"],
     ["--cmin", "1e-320", "--cmax", "2e-320", "--step", "1e-321"],
     ["--cmin", "5e307", "--cmax", "1.7e308", "--step", "1e307"],
-    ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"],
+    _FLAT,
     ["--cmin", "0", "--cmax", "1e308", "--step", "1e-300"],
     ["--cmin", "0", "--cmax", "3", "--step", "1e-12"],
+    *([*_FLAT, "--seed", str(seed)] for seed in range(2, 13)),
 ], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double", "flat-curve",
-        "infinite-count", "trillions-of-constants"])
+        "infinite-count", "trillions-of-constants",
+        *(f"flat-curve-seed-{seed}" for seed in range(2, 13))])
 def test_extreme_c_interval_exits_3(bounds, capfd):
     """A clean exit 3: no traceback, no warning, and no LAPACK message, which
     comes from compiled code straight to the process's stdout."""

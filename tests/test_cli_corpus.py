@@ -160,9 +160,12 @@ def test_offset_one_at_a_constant_whose_fold_overflows_prints_a_positive_value(c
 # Sizes beyond a stated bound, each refused before anything is allocated: once
 # a traceback (OverflowError, or numpy's "Maximum allowed dimension exceeded").
 _BOUNDED = {
-    "welch-n1-beyond-the-doubles": (
+    "welch-n1-beyond-2^53": (
         ["apply", "welch", "--s2-1", "1", "--s2-2", "1", "--n1", "1" + "0" * 400, "--n2", "5",
-         "--df1", "4"], "n1 must be <= 1.7976931348623157e+308, the largest double"),
+         "--df1", "4"], "n1 must be <= 9007199254740992, 2^53"),
+    "rubin-sampling-df-beyond-2^53": (
+        ["apply", "rubin", "--m", "5", "--sampling-s2", "4", "--sampling-df", str(2**53 + 1),
+         "--imputation-s2", "1"], "sampling_df must be <= 9007199254740992, 2^53"),
     "calibrate-kmax": (["calibrate", "--kmax", str(10 ** 20)], "cells exceeds 1000000"),
     "reproduce-replicates": (["reproduce", "--table", "1", "--replicates", str(10 ** 20)],
                              "replicates must be <= 9007199254740992"),

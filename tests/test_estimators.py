@@ -64,10 +64,10 @@ class TestVarianceComponent:
         with pytest.raises(SynthesisError):
             VarianceComponent(1.0, 1.0, df)
 
-    def test_rejects_df_beyond_double_range(self):
-        assert VarianceComponent(1.0, 1.0, int(sys.float_info.max)).df > 10**308
-        for df in (int(sys.float_info.max) + 1, 10**400):
-            with pytest.raises(SynthesisError, match="largest double"):
+    def test_rejects_df_beyond_2_53(self):
+        assert VarianceComponent(1.0, 1.0, 2**53).df == 2**53
+        for df in (2**53 + 1, 10**400):
+            with pytest.raises(SynthesisError, match=r"^df must be <= 9007199254740992, 2\^53"):
                 VarianceComponent(1.0, 1.0, df)
 
     @pytest.mark.parametrize("field", ["weight", "s2"])
@@ -163,13 +163,13 @@ class TestWeightedMeanDf:
             weighted_mean_df([])
 
     @pytest.mark.parametrize("triples", [
-        [(1, 1, int(sys.float_info.max))] * 2,
-        [(1, 1, int(sys.float_info.max)), (1e-300, 1, 1), (1, 2, int(sys.float_info.max) // 2)],
-        [(3.0, 1, int(sys.float_info.max)), (1.5, 1, int(sys.float_info.max) // 7 * 5)],
-        [(1e300, 1, int(sys.float_info.max)), (0.9e300, 1, int(sys.float_info.max) // 5)],
+        [(1, 1, 2**53)] * 2,
+        [(1, 1, 2**53), (1e-300, 1, 1), (1, 2, 2**53 // 2)],
+        [(3.0, 1, 2**53), (1.5, 1, 2**53 // 7 * 5)],
+        [(1e300, 1, 2**53), (0.9e300, 1, 2**53 // 5)],
     ], ids=["largest-twice", "mixed", "unequal-weights", "huge-weights"])
-    def test_d_f_near_the_largest_double(self, triples):
-        # The plain sum of w * df overflows here, but the mean does not.
+    def test_d_f_at_2_53(self, triples):
+        # The plain sum of w * df overflows at the huge weights, but the mean does not.
         components = comps(*triples)
         exact = (sum(Fraction(c.weight) * c.df for c in components)
                  / sum(Fraction(c.weight) for c in components))
@@ -199,13 +199,19 @@ class TestSatterthwaite:
         with pytest.raises(DegenerateSynthesisError, match="degenerate synthesis"):
             satterthwaite_df(comps((1, 0, 3), (2, 0, 5)))
 
-    def test_df_near_the_largest_double(self):
-        # The denominator 1/df is subnormal there; the ratio still returns df.
-        d = int(sys.float_info.max)
-        assert satterthwaite_df(comps((1, 1, d))).value == float(d)
-        assert recommended_df(comps((1, 1, d))).value == float(d)
-        with pytest.raises(SynthesisError, match="not finite"):
-            satterthwaite_df(comps((1, 1, 10**308), (1, 1, 10**308)))
+    @pytest.mark.parametrize("triples", [
+        [(1, 1, 2**53)],
+        [(1, 1, 2**53)] * 2,
+        [(1, 1, 2**53), (1e-300, 1, 1), (1, 2, 2**53 // 2)],
+        [(1e300, 3, 2**53), (0.9e300, 1e-300, 2**53 // 5)],
+    ], ids=["single", "largest-twice", "mixed", "huge-terms"])
+    def test_df_at_2_53(self, triples):
+        # nu + 2 is still exact there, so both estimators match the exact ratios.
+        components = comps(*triples)
+        for value, exact in ((satterthwaite_df(components).value, _exact_df(components)),
+                             (recommended_df(components).value, _exact_df(components, 2.24))):
+            assert abs(Fraction(value) / exact - 1) <= 8 * sys.float_info.epsilon
+        assert satterthwaite_df(comps((1, 1, 2**53))).value == 2.0**53
 
     def test_item_that_is_not_a_component_rejected(self):
         with pytest.raises(TypeError, match="expected VarianceComponent, got tuple"):
