@@ -381,6 +381,10 @@ def main(argv=None) -> int:
         return exc.code
     try:
         return args.handler(args)
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # Point stdout at devnull, so that the interpreter's final flush is silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (InputError, OSError, UnicodeDecodeError, SynthesisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC if isinstance(exc, SynthesisError) else EXIT_INPUT

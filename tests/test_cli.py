@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import run_python
 from effdof import DEFAULT_REPLICATES, VarianceComponent, satterthwaite_df
 from effdof.cli import _ADAPTERS, _TABLE_METHODS, build_parser, main, read_components
 from effdof.reference import REFERENCE_K_VALUES, REFERENCE_NU_VALUES
@@ -426,16 +427,20 @@ class TestReproduceCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == current
 
-    def test_thread_flag_reproducible(self, capsys):
-        """The default (every available CPU) and any --threads print the serial bytes."""
+    def test_thread_flag_reproducible(self, capsys, tmp_path):
+        """The default (every CPU) and any --threads print the serial bytes and curve file."""
+        curve = tmp_path / "curve.csv"
         for args in (["reproduce", "--table", "1", "--replicates", "400", "--seed", "4",
                       "--format", "csv"],
-                     ["reproduce", "--table", "x2", "--replicates", "40"]):
-            main(args + ["--threads", "1"])
-            serial = capsys.readouterr().out
-            for extra in ([], ["--threads", "4"]):
-                main(args + extra)
-                assert capsys.readouterr().out == serial
+                     ["reproduce", "--table", "x2", "--replicates", "1000", "--format", "csv"],
+                     ["calibrate", "--kmax", "3", "--numax", "3", "--replicates", "200",
+                      "--curve-out", str(curve)]):
+            outputs = []
+            for threads in (None, 1, 2, 3, 4):
+                curve.unlink(missing_ok=True)
+                assert main(args + (["--threads", str(threads)] if threads else [])) == 0
+                outputs.append((capsys.readouterr().out, curve.exists() and curve.read_bytes()))
+            assert outputs == outputs[:1] * 5
 
 
 class TestCalibrateCommand:
@@ -528,7 +533,7 @@ class TestCalibrateCommand:
 _FLAT = ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bounds", [
     ["--cmin", "0", "--cmax", "1e300", "--step", "1e299"],
     ["--cmin", "1e-320", "--cmax", "2e-320", "--step", "1e-321"],
@@ -540,14 +545,16 @@ _FLAT = ["--cmin", "0", "--cmax", "1e-17", "--step", "1e-18"]
 ], ids=["wider-than-the-dense-search", "subnormal", "near-the-largest-double", "flat-curve",
         "infinite-count", "trillions-of-constants",
         *(f"flat-curve-seed-{seed}" for seed in range(2, 13))])
-def test_extreme_c_interval_exits_3(bounds, capfd):
-    """A clean exit 3: no traceback, no warning, and no LAPACK message, which
-    comes from compiled code straight to the process's stdout."""
+def test_extreme_c_interval_exits_3(bounds, capfd, tmp_path):
+    """A clean exit 3: no traceback, no warning, no LAPACK message, which comes
+    from compiled code straight to the process's stdout, and no curve file."""
+    curve = tmp_path / "new-curve.csv"
     assert main(["calibrate", "--kmax", "2", "--numax", "1", "--replicates", "2",
-                 *bounds]) == 3
+                 *bounds, "--curve-out", str(curve)]) == 3
     out, err = capfd.readouterr()
     assert "error" in err and "Traceback" not in err
     assert "DLASCL" not in out + err
+    assert not curve.exists()
 
 
 class TestParserBasics:
@@ -556,6 +563,15 @@ class TestParserBasics:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that closes the pipe after one line, as `| head` does."""
+    out = run_python("-c", """import subprocess, sys
+with subprocess.Popen([sys.executable, "-m", "effdof.cli", "density", "--raw", "--replicates",
+                       "300000"], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+    print(child.stdout.readline(), child.stdout.close(), child.stderr.read(), child.wait(120))""")
+    assert out == "b'sample\\r\\n' None b'' 1\n"  # the line, then stderr and the exit code
 
 
 class TestParserDefaults:

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from conftest import run_python
+from conftest import run_mains
 from effdof.cli import main
 
 _BIG = "7" * 5000  # beyond Python's default digit limit for int(str)
@@ -204,20 +204,11 @@ _SHORT_CALIBRATION = ["calibrate", "--kmax", "2", "--numax", "1", "--replicates"
 _DEGREES = {f"max-degree-{d}": [*_SHORT_CALIBRATION, "--max-degree", str(d)]
             for d in (26, 10 ** 8)}
 
-_CAPPED_CHILD = """
-import contextlib, io, json, resource, sys
+_CAP = """import resource
 import numpy  # with its thread buffers, before the cap
-from effdof.cli import main
 with open("/proc/self/status") as status:
     size = next(int(line.split()[1]) << 10 for line in status if line.startswith("VmSize:"))
-resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), size + (1 << 30)))
-results = {}
-for name, argv in json.loads(sys.argv[1]).items():
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        results[name] = [main(argv), out.getvalue(), err.getvalue()]
-print(json.dumps(results))
-"""
+resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), size + (1 << 30)))"""
 
 
 # A seeded fuzzer over every option of the drawing commands and the adapters. Each
@@ -276,7 +267,7 @@ def fuzz_argvs(tmp_path_factory):
 @pytest.fixture(scope="module")
 def capped_runs(fuzz_argvs):
     argvs = {**_SIZES, **_DEGREES, **fuzz_argvs}
-    return json.loads(run_python(_CAPPED_CHILD, json.dumps(argvs)))
+    return run_mains(argvs, _CAP)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),

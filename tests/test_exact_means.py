@@ -146,3 +146,23 @@ def test_vd2025_equals_satterthwaite_at_two_components(nu, exact):
     # Its p = 1 shrink term 1 + 2/nu cancels the nu + 2 denominator exactly.
     assert _relative_bias(EstimatorVariant.von_davier_2025(), 2, nu, exact) == pytest.approx(
         _relative_bias(EstimatorVariant.satterthwaite(), 2, nu, exact), rel=1e-12)
+
+
+def test_population_c_opt_of_the_pearson_and_relative_objectives():
+    """README's population c_opt at (5,5) and (10,10). A cell's mean at constant C is
+    the c = 0 mean (nu + 2) E[R] over the shrink term 1 + C / (K nu)."""
+    base = {(k, nu): (nu + 2) * mean for nu in range(1, 11)
+            for k, mean in exact_ratio_means(range(2, 11), nu).items()}
+
+    def c_opt(size: int, power: int) -> float:
+        def x2(c):
+            return sum((m / (1 + c / (k * nu)) - k * nu) ** 2 / (k * nu) ** power
+                       for (k, nu), m in base.items() if k <= size and nu <= size)
+        lo, hi, g = 2.0, 3.0, (5 ** 0.5 - 1) / 2
+        for _ in range(40):  # golden-section search
+            a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+            lo, hi = (lo, b) if x2(a) < x2(b) else (a, hi)
+        return (lo + hi) / 2
+
+    assert [c_opt(5, 1), c_opt(10, 1)] == pytest.approx([2.4691, 2.5815], abs=1e-4)
+    assert [c_opt(5, 2), c_opt(10, 2)] == pytest.approx([2.4215, 2.5245], abs=1e-4)

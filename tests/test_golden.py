@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import pathlib
 import tempfile
 
 import pytest
 
+from conftest import run_mains
 from effdof.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -87,6 +89,32 @@ def test_output_matches_golden(name, tmp_path):
         path = _golden_path(name, suffix, data)
         assert path.exists(), f"no golden file {path.name}"
         assert _pinned(path, data) == path.read_bytes(), f"{path.name} differs"
+
+
+# Ratio, table and calibration draws, with numpy's SIMD kernels on and switched off.
+DISPATCH = {"density-raw": ["density", "--raw", "--replicates", "600000"],
+            "x2": ["reproduce", "--table", "x2", "--replicates", "1000", "--format", "csv"],
+            "calibrate": ["calibrate", "--kmax", "4", "--numax", "4", "--replicates", "300"]}
+
+
+def _dispatch_list() -> tuple[str, list[str]]:
+    """numpy's module that lists the CPU features it dispatches on, and that list."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        with contextlib.suppress(ImportError, AttributeError):
+            return module, importlib.import_module(module).__cpu_dispatch__
+    pytest.skip("numpy lists no __cpu_dispatch__ in numpy._core or numpy.core")
+
+
+def test_outputs_do_not_depend_on_numpy_cpu_dispatch(capsys):
+    module, features = _dispatch_list()
+    switched_off = (f"from {module} import __cpu_features__\n"
+                    f"assert not any(__cpu_features__[name] for name in {features!r})")
+    runs = run_mains(DISPATCH, switched_off, NPY_DISABLE_CPU_FEATURES=" ".join(features))
+    for name, argv in DISPATCH.items():  # by digest: a diff of the raw draws would take long
+        assert main(argv) == 0
+        code, out, err = runs[name]
+        digests = [hashlib.sha256(t.encode()).digest() for t in (out, capsys.readouterr().out)]
+        assert (code, err, digests[0]) == (0, "", digests[1]), name
 
 
 def write_golden(scratch: pathlib.Path) -> None:

@@ -7,7 +7,7 @@ import pathlib
 import pytest
 
 import effdof
-from conftest import run_python
+from conftest import run_mains, run_python
 
 PUBLIC_NAMES = [
     "AdjustmentConfig", "CalibrationCurve", "CalibrationError", "CellStat",
@@ -46,20 +46,53 @@ def test_estimate_and_apply_never_import_numpy(argv, tmp_path):
     path = tmp_path / "components.csv"
     path.write_text("weight,s2,df\n1,4,3\n2,9,5\n")
     argv = [str(path) if a == "FILE" else a for a in argv]
-    out = run_python("import sys\nfrom effdof.cli import main\n"
+    out = run_python("-c", "import sys\nfrom effdof.cli import main\n"
                      f"assert main(sys.argv[1:]) == 0\n{_LOADED}", *argv)
     assert out.splitlines()[-1] == "[]"
+
+
+_K5 = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "data" / "k5.json")
+_WELCH = ["apply", "welch", "--s2-1", "4", "--s2-2", "9", "--n1", "5", "--n2", "8"]
+_RUBIN = ["apply", "rubin", "--m", "5", "--sampling-s2", "4", "--imputation-s2", "1"]
+_NUMPY_FREE = {"estimate": ["estimate", _K5],
+               "estimate-vd2025": ["estimate", _K5, "--constant", "2", "--offset", "1"],
+               "welch": _WELCH, "rubin": [*_RUBIN, "--sampling-df", "10"],
+               "rubin-2^53": [*_RUBIN, "--sampling-df", str(2 ** 53)],
+               "jackknife": ["apply", "jackknife", "--deviations", "0.4", "-1.1", "0.9", "0.2",
+                             "--constant", "2.69"]}
+_REFUSED = {"welch-df1": [*_WELCH, "--df1", "9"],  # bounds stated by the input rules
+            "jackknife-one": ["apply", "jackknife", "--deviations", "0.4"],
+            "rubin-beyond-2^53": [*_RUBIN, "--sampling-df", str(2 ** 53 + 1)]}
+_HELP = {f"help-{a}": ["apply", a, "--help"] for a in ("rubin", "welch", "jackknife")}
+# c * K / (K - 1) overflows at p = 1; the value must stay positive.
+_OVERFLOW = ["apply", "rubin", "--m", "2", "--sampling-s2", "1", "--sampling-df", "1",
+             "--imputation-s2", "1", "--constant", "1e308", "--offset", "1", "--format", "json"]
+
+
+def test_estimate_and_apply_run_with_numpy_unimportable():
+    runs = run_mains({**_NUMPY_FREE, **_REFUSED, **_HELP, "overflow": _OVERFLOW},
+                     'sys.modules["numpy"] = None\nfrom effdof import cli, reference')
+    for name, argv in _NUMPY_FREE.items():  # the bytes of a normal run, by the entry point
+        assert runs[name] == [0, run_python("-m", "effdof.cli", *argv), ""], name
+    rows = [line.split(" | ")[0][2:] for line in runs["estimate-vd2025"][1].splitlines()]
+    assert rows == ["method", "---", "satterthwaite", "vd2025", "adjusted(c=2, p=1)"]
+    for name in _REFUSED:
+        code, out, err = runs[name]
+        assert (code, out, err.count("\n")) == (3, "", 1) and err.startswith("error: "), name
+    for name in _HELP:
+        assert runs[name][0] == 0 and runs[name][1].startswith("usage: "), name
+    assert runs["overflow"][0] == 0 and json.loads(runs["overflow"][1])["value"] > 0
 
 
 @pytest.mark.parametrize("statement", ["from effdof import cli", "from effdof import reference"])
 def test_numpy_free_submodules_import_without_numpy(statement):
     # The package's lazy-name hook once loaded numpy when the import system asked for them.
-    out = run_python(f"import sys\n{statement}\n{_LOADED}")
+    out = run_python("-c", f"import sys\n{statement}\n{_LOADED}")
     assert out.splitlines()[-1] == "[]"
 
 
 def test_reproduce_never_imports_numpy_polynomial():
-    out = run_python("import sys\nfrom effdof.cli import main\n"
+    out = run_python("-c", "import sys\nfrom effdof.cli import main\n"
                      "assert main(['reproduce', '--table', '1', '--replicates', '200']) == 0\n"
                      'print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)')
     assert out.splitlines()[-1] == "True False"
@@ -67,17 +100,18 @@ def test_reproduce_never_imports_numpy_polynomial():
 
 def test_drawing_commands_never_import_concurrent_futures_or_logging():
     # Cells are drawn by the caller beside plain threads; an executor would load both.
-    out = run_python("import sys\nfrom effdof.cli import main\n"
+    out = run_python("-c", "import sys, threading\nfrom effdof.cli import main\n"
                      "assert main(['reproduce', '--table', '1', '--replicates', '50',"
                      " '--threads', '2', '--format', 'csv']) == 0\n"
                      "assert main(['calibrate', '--kmax', '3', '--numax', '3',"
                      " '--replicates', '50']) == 0\n"
-                     'print("concurrent.futures" in sys.modules, "logging" in sys.modules)')
-    assert out.splitlines()[-1] == "False False"
+                     'print("concurrent.futures" in sys.modules, "logging" in sys.modules,'
+                     ' threading.active_count())')  # no thread is left behind
+    assert out.splitlines()[-1] == "False False 1"
 
 
 def test_modules_and_names_loaded_on_first_use():
-    out = run_python(f"""import sys
+    out = run_python("-c", f"""import sys
 import effdof
 {_LOADED}
 print(effdof.simulation.__name__, effdof.calibration.__name__)
@@ -90,7 +124,7 @@ print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)  # no fit has r
 
 
 def test_unknown_attribute_is_an_attribute_error():
-    out = run_python("""import effdof
+    out = run_python("-c", """import effdof
 for _ in range(2):  # before and after the numpy modules are loaded
     try:
         effdof.no_such_name
@@ -103,7 +137,7 @@ print(hasattr(effdof, "no_such_name"), effdof.find_c_opt.__name__)
 
 
 def test_dir_and_star_import_give_the_public_names():
-    out = run_python("""import json
+    out = run_python("-c", """import json
 import effdof
 print(json.dumps(dir(effdof)))  # before anything else loads the numpy modules
 namespace = {}
