@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -45,7 +46,7 @@ __all__ = [
     "run_calibration",
 ]
 
-# Most constants a C grid may hold, each a row of the fit's 7-column design (56 MB at the limit).
+# Most constants a C grid may hold, each a row of the fit's 8-column design (64 MB at the limit).
 _MAX_C_POINTS = 10**6
 
 
@@ -118,7 +119,8 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     folds, with ties (within 1e-12 of X2 at the unit scale below) resolved to
     the smallest degree. Folds are formed by shuffling the points once with
     ``seed`` and dealing them round-robin, so the partition is deterministic.
-    Each fit is numpy's ``polyfit`` on the span [lo, hi] mapped onto [-1, 1],
+    Each fit solves numpy's ``polyfit`` problem on the span [lo, hi] mapped
+    onto [-1, 1], by one Householder QR per group of folds (``_least_squares``),
     and ``r_squared`` is 1 - SSE/SST of the winning degree's fit on all points.
     In the reported powers of C the k-th coefficient carries ``(2 / (hi - lo))**k``,
     and a span that puts this beyond the normal doubles at the chosen degree is
@@ -126,10 +128,6 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     magnitude in [0.5, 1), which is exact: any finite X2 fits, and a power-of-two
     factor on X2 changes no degree. Coefficients beyond the doubles are an error.
     """
-    # Imported here, so that a process that fits nothing never loads numpy.polynomial.
-    from numpy.polynomial import Polynomial
-    from numpy.polynomial.polynomial import polyfit, polyvander
-    from numpy.polynomial.polyutils import mapdomain
     pts = list(points)
     n = len(pts)
     max_degree = _integer(max_degree, "max_degree", 1, error=CalibrationError)
@@ -143,91 +141,128 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     # or sum overflows, and scale the coefficients back by the same power of two.
     shift = math.frexp(float(np.abs(ys).max()))[1]
     ys = np.ldexp(ys, -shift)
-    # The fit maps [lo, hi] onto [-1, 1] by x * 2/(hi-lo) - (hi+lo)/(hi-lo);
-    # LAPACK would take a map that is not finite, print to stdout and then fail.
+    # The fit maps [lo, hi] onto [-1, 1] by t = off + scl * C, as numpy.polynomial does.
     lo, hi = float(xs.min()), float(xs.max())
-    if not (hi > lo and 0.0 < 2.0 / (hi - lo) < math.inf
-            and math.isfinite((hi + lo) / (hi - lo))):
+    off, scl = ((-hi - lo) / (hi - lo), 2.0 / (hi - lo)) if hi > lo else (0.0, 0.0)
+    if not (0.0 < scl < math.inf and math.isfinite(off)):
         raise CalibrationError(f"cannot map the sampled span [{lo!r}, {hi!r}] onto [-1, 1]")
     if ys.min() == ys.max():  # the mean of equal doubles need not equal them, so sst may be > 0
         raise CalibrationError("the sampled X2 curve is flat: every constant gives the same X2")
 
     # Reduced as ``substream`` reduces it, so any seed a grid admits works here.
     order = np.random.default_rng(seed & _MASK64).permutation(n)
-    fold_ids = np.empty(n, dtype=int)
-    fold_ids[order] = np.arange(n) % folds
+    fold_ids = (np.arange(n) % folds)[np.argsort(order)]  # point order[i] goes to fold i % folds
     # Above n - ceil(n / folds) - 1, the smallest training fold's design is rank-deficient.
     max_degree = min(max_degree, n - -(-n // folds) - 1)
-    t = mapdomain(xs, np.array([lo, hi]), np.array([-1.0, 1.0]))
-    vander = polyvander(t, max_degree)
-
-    def solve(rows, degree: int):
-        """polyfit's coefficients on ``rows``; None if the design is rank-deficient."""
-        coef, (_, rank, _, _) = polyfit(t[rows], ys[rows], degree, full=True)
-        return coef if rank == degree + 1 else None
-
-    try:
-        cv_rmse = []
-        for degree in range(1, max_degree + 1):
-            errs = []
-            for f in range(folds):
-                coef = solve(fold_ids != f, degree)
-                if coef is None:  # a degree some fold cannot estimate is skipped
-                    errs.append(math.inf)
-                    break
-                resid = vander[fold_ids == f, :degree + 1] @ coef - ys[fold_ids == f]
-                errs.append(math.sqrt(float(np.mean(resid ** 2))))
-            cv_rmse.append(float(np.mean(errs)))
-
-        best = min(cv_rmse, default=math.inf)
-        if not math.isfinite(best):
-            raise CalibrationError("no degree is estimable with the given folds")
-        degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
-        if not -1022 <= degree * math.log2(2.0 / (hi - lo)) < 1024:
-            raise CalibrationError(f"span [{lo!r}, {hi!r}] too wide or narrow for degree {degree}")
-        coef = solve(slice(None), degree)
-    except np.linalg.LinAlgError as exc:
-        raise CalibrationError(f"polynomial fit failed: {exc}") from None
-    if coef is None:
+    t = off + scl * xs
+    group = max(1, 2**20 // (n * (max_degree + 2)))  # folds per QR: about 8 MB of design, or one
+    # Each group's training sets, then the degrees that every group estimates.
+    cv_fits = zip(*(list(_least_squares(t, ys, fold_ids != np.arange(folds)[i:i + group, None],
+                                        max_degree)) for i in range(0, folds, group)))
+    cv_rmse = [float(np.mean(np.sqrt(np.bincount(fold_ids, (_horner(coef[fold_ids].T, t) - ys) ** 2)
+                                     / np.bincount(fold_ids))))
+               for coef in map(np.concatenate, cv_fits)]  # each point under its own fold's fit
+    best = min(cv_rmse, default=math.inf)
+    if not math.isfinite(best):
+        raise CalibrationError("no degree is estimable with the given folds")
+    degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
+    if not -1022 <= degree * math.log2(scl) < 1024:
+        raise CalibrationError(f"span [{lo!r}, {hi!r}] too wide or narrow for degree {degree}")
+    fits = list(_least_squares(t, ys, np.ones((1, n), dtype=bool), degree))
+    if len(fits) < degree:
         raise CalibrationError(f"rank-deficient design at degree {degree}")
-    unit = Polynomial(coef, domain=[lo, hi]).convert().coef
+    unit = [0.0] * (degree + 1)  # in powers of C: Horner's rule on polynomials in t
+    for c in fits[-1][0, ::-1].tolist():
+        unit = [c + unit[0] * off] + [u * off + v * scl for u, v in zip(unit[1:], unit)]
     with np.errstate(over="ignore"):
         coefficients = tuple(float(c) for c in np.ldexp(unit, shift))
     if not all(map(math.isfinite, coefficients)):
         raise CalibrationError(f"polynomial fit has non-finite coefficients {coefficients}")
-    pred = Polynomial(unit)(xs)
-    sst = float(np.sum((ys - ys.mean()) ** 2))
-    sse = float(np.sum((ys - pred) ** 2))
+    sse, sst = (float(np.sum((ys - fitted) ** 2)) for fitted in (_horner(unit, xs), ys.mean()))
     return PolynomialFit(degree, coefficients, 1.0 - sse / sst)
+
+
+def _horner(coefficients, x):
+    """The polynomial with ascending ``coefficients`` at ``x``, by Horner's rule."""
+    return reduce(lambda value, c: value * x + c, coefficients[-2::-1], coefficients[-1])
+
+
+def _least_squares(t, y, sets, degree: int):
+    """Yield polyfit's coefficients on each row set at degree 1, 2, ... ``degree``.
+
+    ``sets`` is a boolean (sets, points) array; rows outside a set are zeroed, which changes
+    no solution. As in polyfit, each column is scaled by its 2-norm over the set, and a degree
+    stops the yield when some set's |R_jj| of its block is at most rows * eps * max |R_ii|.
+    Degree d solves the leading block of R and Q^T y: (sets, degree + 1) coefficients, 0 above d.
+    """
+    powers = np.cumprod(np.broadcast_to(t, (degree, len(t))), axis=0)  # as polyvander builds them
+    a = np.vstack([np.ones_like(t), powers, y]) * sets[:, None, :]
+    scale = np.sqrt((a[:, :-1] * a[:, :-1]).sum(axis=2))
+    scale[scale == 0.0] = 1.0
+    a[:, :-1] /= scale[:, :, None]
+    _householder(a)
+    diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
+    tol = sets.sum(axis=1) * np.finfo(float).eps
+    for d in range(1, degree + 1):
+        if (diag[:, :d + 1].min(axis=1) <= tol * diag[:, :d + 1].max(axis=1)).any():
+            return  # a higher degree keeps this block
+        coef = np.zeros((len(a), degree + 1))
+        for i in range(d, -1, -1):  # back substitution; coef[:, :i + 1] is still 0
+            coef[:, i] = (a[:, -1, i] - (a[:, :-1, i] * coef).sum(axis=1)) / a[:, i, i]
+        yield coef / scale
+
+
+def _householder(a) -> None:
+    """In place, the Householder QR of each a[s], by elementwise operations and sums only.
+
+    a[s, k] is column k; it becomes column k of R in a[s, k, :k + 1], and the last, b, Q^T b.
+    """
+    for j in range(a.shape[1] - 1):
+        x = a[:, j, j:]
+        norm = np.sqrt((x * x).sum(axis=1))
+        v = x.copy()
+        v[:, 0] += np.where(x[:, 0] < 0.0, -norm, norm)  # x - alpha e_1, alpha = -sign(x_0) |x|
+        beta = 2.0 / np.maximum((v * v).sum(axis=1), np.finfo(float).tiny)  # v = 0 changes nothing
+        for column in a[:, j:, j:].transpose(1, 0, 2):  # H = I - beta v v^T
+            column -= (beta * (v * column).sum(axis=1))[:, None] * v
+
+
+def _sign_changes(coefficients, lo: float, hi: float):
+    """Yield the two adjacent doubles around each sign change of a polynomial in [lo, hi].
+
+    The sign changes of its derivative, found the same way down to a linear one, split
+    [lo, hi] into monotone pieces; each piece whose ends differ in sign is bisected until
+    its midpoint equals an end.
+    """
+    n = len(coefficients) - 1  # (k / n) c_k: a multiple of the derivative whose terms stay finite
+    knots = [lo, hi] if n < 2 else [
+        lo, *_sign_changes([k / n * c for k, c in enumerate(coefficients)][1:], lo, hi), hi]
+    for a, b in zip(knots, knots[1:]):
+        fa, fb = _horner(coefficients, a), _horner(coefficients, b)
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            while a < (mid := a / 2 + b / 2) < b:
+                a, b = (mid, b) if (_horner(coefficients, mid) < 0.0) == (fa < 0.0) else (a, mid)
+            yield from (a, b)
 
 
 def find_c_opt(coefficients, interval: tuple[float, float]) -> tuple[float, float]:
     """Global minimum of a polynomial over a closed interval.
 
-    The candidates are the two ends and the real critical points inside the
-    interval, which together hold the polynomial's global minimum there. The
-    smallest value wins, then the smaller abscissa. A polynomial or slope
-    that overflows there is an error.
+    The candidates are the two ends and the two adjacent doubles around each
+    sign change of the slope inside the interval, found by bracketing
+    (``_sign_changes``), so exact to the last bit; they hold the polynomial's
+    global minimum there. The smallest value wins, then the smaller abscissa.
+    A polynomial or slope that overflows there is an error.
     """
     lo, hi = (_finite(interval[i], "interval end", error=CalibrationError) for i in (0, 1))
     if not lo < hi:
         raise CalibrationError(f"invalid interval ({lo}, {hi})")
     coefs = [_finite(c, "coefficient", error=CalibrationError) for c in coefficients]
     _integer(len(coefs) - 1, "polynomial degree", 1, error=CalibrationError)
-    from numpy.polynomial.polynomial import Polynomial, polyvander  # as in fit_polynomial_cv
-    poly = Polynomial(coefs)
-
-    with np.errstate(all="ignore"):  # an overflow raises CalibrationError, not a warning
-        slope = poly.deriv()
-        if not np.isfinite(slope.coef).all():
-            raise CalibrationError(f"the slope of the polynomial overflows on ({lo}, {hi})")
-        # Top slope terms within rounding on the interval add far roots that spoil near ones.
-        terms = np.abs(slope.coef) * polyvander(max(abs(lo), abs(hi)), len(slope.coef) - 1)[0]
-        while len(terms) > 1 and terms[-1] <= np.finfo(float).eps * terms.sum() < math.inf:
-            terms = terms[:-1]
-        candidates = [lo, hi] + [float(r.real) for r in slope.truncate(len(terms)).roots()
-                                 if abs(r.imag) < 1e-9 and lo <= r.real <= hi]
-        values = [(float(poly(c)), c) for c in candidates]
+    slope = [k * c for k, c in enumerate(coefs)][1:]
+    if not all(map(math.isfinite, slope)):
+        raise CalibrationError(f"the slope of the polynomial overflows on ({lo}, {hi})")
+    values = [(_horner(coefs, c), c) for c in [lo, hi, *_sign_changes(slope, lo, hi)]]
     if not all(math.isfinite(value) for value, _ in values):
         raise CalibrationError(f"the polynomial overflows on ({lo}, {hi})")
     x2_min, c_opt = min(values)  # the smallest value, then the smallest abscissa

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyfit
 
 from effdof import (
     CalibrationError,
     EstimatorVariant,
     SimulationGrid,
     SynthesisError,
+    calibration,
     default_c_grid,
     evaluate_x2_curve,
     find_c_opt,
@@ -171,6 +173,17 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError, match="no degree is estimable"):
             fit_polynomial_cv([(0.0, 1.0), (1.0, 2.0)], folds=2)
 
+    @pytest.mark.parametrize("n, folds", [(7, 7), (9, 2), (10, 5), (11, 4), (12, 4), (13, 3)])
+    def test_points_on_a_polynomial_of_the_cap_degree_fit_at_that_degree(self, n, folds):
+        # The smallest training fold has n - ceil(n / folds) points, so it can hold
+        # a polynomial of one degree less and no more. A cap one lower would miss it;
+        # one higher is never reached, as the rank rule skips that degree on that fold.
+        cap = n - math.ceil(n / folds) - 1
+        xs = np.linspace(-1.0, 1.0, n)
+        points = list(zip(xs.tolist(), np.polynomial.chebyshev.chebval(xs, [0] * cap + [1]).tolist()))
+        fit = fit_polynomial_cv(points, max_degree=cap + 3, folds=folds)
+        assert fit.degree == cap and fit.r_squared >= 1.0 - 1e-12
+
     def test_no_estimable_degree_is_an_error(self):
         # The fold that holds out x = 1 trains on x = 0 alone, so no degree fits it.
         with pytest.raises(CalibrationError, match="no degree is estimable"):
@@ -199,24 +212,17 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError, match="non-finite coefficients"):
             fit_polynomial_cv(points)
 
-    def test_lapack_failure_is_a_calibration_error(self, monkeypatch):
-        # LAPACK converges on the finite unit-scale systems built here, so the failure is injected.
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-        monkeypatch.setattr(np.linalg, "lstsq", fail)
-        with pytest.raises(CalibrationError, match="polynomial fit failed: SVD did not converge"):
-            fit_polynomial_cv([(float(i), float(i * i)) for i in range(12)], folds=2)
-
     def test_rank_loss_on_the_final_fit_is_an_error(self, monkeypatch):
         # The refit on all points has every row of a full-rank training fold,
-        # so its rank loss is injected: it reports one less on all 12 rows.
+        # so its rank loss is injected: R_22 of the one set of 12 rows is zeroed.
         points = [(float(i), float(i * i)) for i in range(12)]
-        lstsq = np.linalg.lstsq
+        householder = calibration._householder
 
-        def final_fit_rank_deficient(a, b, rcond):
-            coef, residuals, rank, singular_values = lstsq(a, b, rcond=rcond)
-            return coef, residuals, rank - (len(a) == len(points)), singular_values
-        monkeypatch.setattr(np.linalg, "lstsq", final_fit_rank_deficient)
+        def final_fit_rank_deficient(a):
+            householder(a)
+            if len(a) == 1:
+                a[:, 2, 2] = 0.0
+        monkeypatch.setattr(calibration, "_householder", final_fit_rank_deficient)
         with pytest.raises(CalibrationError, match="rank-deficient design at degree 2"):
             fit_polynomial_cv(points, folds=2)
 
@@ -309,6 +315,64 @@ class TestFitPolynomialCv:
         assert fit_polynomial_cv(points, max_degree, folds, seed).degree == expected
 
 
+def _polyfit_cv_degree(points, seed, max_degree=6, folds=10):
+    """The degree chosen by a cross validation of numpy's polyfit, fold by fold."""
+    xs, ys = (np.array(v) for v in zip(*points))
+    ys = np.ldexp(ys, -math.frexp(float(np.abs(ys).max()))[1])
+    t = np.polynomial.polyutils.mapdomain(xs, [xs.min(), xs.max()], [-1.0, 1.0])
+    fold_ids = np.empty(len(xs), dtype=int)
+    fold_ids[np.random.default_rng(seed).permutation(len(xs))] = np.arange(len(xs)) % folds
+    cv_rmse = []
+    for degree in range(1, min(max_degree, len(xs) - math.ceil(len(xs) / folds) - 1) + 1):
+        errs = []
+        for f in range(folds):
+            train, held = fold_ids != f, fold_ids == f
+            coef, (_, rank, _, _) = polyfit(t[train], ys[train], degree, full=True)
+            resid = np.polynomial.polynomial.polyval(t[held], coef) - ys[held]
+            errs.append(math.sqrt(np.mean(resid ** 2)) if rank == degree + 1 else math.inf)
+        cv_rmse.append(float(np.mean(errs)))
+    best = min(cv_rmse)
+    return 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
+
+
+class TestLeastSquaresAgainstPolyfit:
+    """numpy's polyfit, which the fit no longer calls, stays here as the referee."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coefficients_match_polyfit_on_random_designs(self, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(-1.0, 1.0, 40))
+        y = rng.normal(0.0, 1.0, 40)
+        sets = rng.random((6, 40)) < 0.8
+        fits = list(calibration._least_squares(t, y, sets, 6))
+        assert len(fits) == 6
+        for degree, coef in enumerate(fits, start=1):
+            assert (coef[:, degree + 1:] == 0.0).all()
+            for rows, ours in zip(sets, coef[:, :degree + 1]):
+                reference = polyfit(t[rows], y[rows], degree)
+                assert np.max(np.abs(ours - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    def test_degree_matches_a_polyfit_cross_validation_on_calibration_curves(self):
+        for seed in range(1, 51):
+            grid = SimulationGrid(range(2, 5), range(1, 5), replicates=300, seed=seed)
+            points = evaluate_x2_curve(default_c_grid(), grid, max_workers=1)
+            assert fit_polynomial_cv(points, seed=seed).degree == _polyfit_cv_degree(points, seed)
+
+    def test_calibration_calls_no_blas_or_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("calibration reached BLAS or LAPACK")
+        for name in set(np.linalg.__all__) - {"LinAlgError"}:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for module, name in [(np, "dot"), (np, "convolve"), (np, "polyfit"), (np, "roots"),
+                             (np.polynomial.polynomial, "polyfit"),
+                             (np.polynomial.polynomial, "polyroots")]:
+            monkeypatch.setattr(module, name, refuse)
+        curve = run_calibration(SimulationGrid((2, 3), (1, 2), replicates=200, seed=3),
+                                [2.0 + 0.05 * i for i in range(24)])
+        assert 2.0 <= curve.c_opt <= 3.15
+        assert find_c_opt((6.25, -5.0, 1.0), (2.0, 3.2))[0] == pytest.approx(2.5)
+
+
 class TestFindCOpt:
     def test_quadratic_vertex(self):
         # y = (x - 2.5)^2 expanded to ascending coefficients
@@ -322,6 +386,34 @@ class TestFindCOpt:
         c_opt, x2_min = find_c_opt((6.35, -5.0, 1.0, 4e-17), (2.01, 3.19))
         assert c_opt == pytest.approx(2.5, abs=1e-8)
         assert x2_min == pytest.approx(0.1, abs=1e-12)
+
+    def test_a_double_root_of_the_slope_yields_no_candidate(self):
+        # C^3 - 7.5 C^2 + 18.75 C has the slope 3 (C - 2.5)^2: an inflection, no extremum.
+        coefficients = (0.0, 18.75, -7.5, 1.0)
+        slope = [k * c for k, c in enumerate(coefficients)][1:]
+        assert list(calibration._sign_changes(slope, 2.0, 3.2)) == []
+        assert find_c_opt(coefficients, (2.0, 3.2)) == (2.0, float(Polynomial(coefficients)(2.0)))
+
+    @pytest.mark.parametrize("vertex", [2.0, 3.0])
+    def test_a_root_of_the_slope_at_an_end(self, vertex):
+        # (C - vertex)^2: the slope is exactly 0 at the end, which is itself a candidate.
+        assert find_c_opt((vertex * vertex, -2.0 * vertex, 1.0), (2.0, 3.0)) == (vertex, 0.0)
+
+    def test_five_roots_of_the_slope_inside_the_interval(self):
+        roots = (2.1, 2.3, 2.45, 2.75, 3.0)
+        poly = Polynomial.fromroots(roots).integ()
+        slope = poly.deriv().coef.tolist()
+        found = list(calibration._sign_changes(slope, 2.0, 3.2))
+        assert len(found) == 10 and found == sorted(found)
+        for root, a, b in zip(roots, found[::2], found[1::2]):
+            # Adjacent doubles where the evaluated slope changes sign: exact to the last bit.
+            assert b == np.nextafter(a, math.inf) and abs(a - root) < 1e-10
+            assert Polynomial(slope)(a) * Polynomial(slope)(b) <= 0.0
+        c_opt, x2_min = find_c_opt(tuple(poly.coef), (2.0, 3.2))
+        xs = np.linspace(2.0, 3.2, 10**5)
+        values = poly(xs)
+        assert abs(x2_min - float(values.min())) <= 1e-9
+        assert abs(c_opt - float(xs[np.argmin(values)])) <= 1e-4
 
     def test_boundary_minimum(self):
         c_opt, x2_min = find_c_opt((0.0, -1.0), (2.0, 3.2))

@@ -17,6 +17,7 @@ import hashlib
 import importlib
 import io
 import pathlib
+import platform
 import tempfile
 
 import pytest
@@ -89,6 +90,23 @@ def test_output_matches_golden(name, tmp_path):
         path = _golden_path(name, suffix, data)
         assert path.exists(), f"no golden file {path.name}"
         assert _pinned(path, data) == path.read_bytes(), f"{path.name} differs"
+
+
+def test_calibrate_does_not_depend_on_the_openblas_kernel(tmp_path, monkeypatch):
+    # Prescott, OpenBLAS's SSE3 baseline, runs on every x86-64 CPU; a newer kernel
+    # forced on an older CPU can raise an illegal instruction, so none is forced.
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"OPENBLAS_CORETYPE=Prescott is an x86-64 kernel, not one for "
+                    f"{platform.machine() or 'this machine'}")
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    curve = tmp_path / "curve.csv"
+    argv = [str(curve) if a == CURVE else a for a in CASES["calibrate-4x4"]]
+    for env in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+        curve.unlink(missing_ok=True)
+        [(code, out, err)] = run_mains({"calibrate": argv}, **env).values()
+        assert (code, err) == (0, ""), env
+        assert out.encode("utf-8") == (GOLDEN / "calibrate-4x4.out").read_bytes(), env
+        assert curve.read_bytes() == (GOLDEN / "calibrate-4x4.curve.csv").read_bytes(), env
 
 
 # Ratio, table and calibration draws, with numpy's SIMD kernels on and switched off.

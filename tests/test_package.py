@@ -33,8 +33,8 @@ def test_public_names():
     assert callable(sample_chi2_matrix)
 
 
-# The import contract: numpy only where draws happen, numpy.polynomial only where
-# a fit runs. Each case runs in a fresh interpreter, since this one has both.
+# The import contract: numpy only where draws happen, numpy.polynomial nowhere.
+# Each case runs in a fresh interpreter, since this one has both.
 _LOADED = 'print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))'
 
 
@@ -94,6 +94,15 @@ def test_numpy_free_submodules_import_without_numpy(statement):
 def test_reproduce_never_imports_numpy_polynomial():
     out = run_python("-c", "import sys\nfrom effdof.cli import main\n"
                      "assert main(['reproduce', '--table', '1', '--replicates', '200']) == 0\n"
+                     'print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)')
+    assert out.splitlines()[-1] == "True False"
+
+
+def test_calibrate_never_imports_numpy_polynomial():
+    # The fit and the search are elementwise numpy and Python floats.
+    out = run_python("-c", "import sys\nfrom effdof.cli import main\n"
+                     "assert main(['calibrate', '--kmax', '3', '--numax', '3',"
+                     " '--replicates', '50']) == 0\n"
                      'print("numpy" in sys.modules, "numpy.polynomial" in sys.modules)')
     assert out.splitlines()[-1] == "True False"
 
