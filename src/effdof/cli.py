@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -373,10 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call. A fresh tree each call would be about 500
+# objects in reference cycles, promoted to the oldest GC generation while being
+# built, so repeated in-process calls would grow until a rare full collection.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
