@@ -115,13 +115,13 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     """Least-squares polynomial with the degree chosen by k-fold cross validation.
 
     Candidate degrees run from 1 to ``max_degree``, less any whose design is
-    rank-deficient on some fold; the winner minimizes the mean RMSE over
+    rank-deficient on a fold or all points; the winner minimizes the mean RMSE over
     folds, with ties (within 1e-12 of X2 at the unit scale below) resolved to
     the smallest degree. Folds are formed by shuffling the points once with
     ``seed`` and dealing them round-robin, so the partition is deterministic.
     Each fit solves numpy's ``polyfit`` problem on the span [lo, hi] mapped
-    onto [-1, 1], by one Householder QR per group of folds (``_least_squares``),
-    and ``r_squared`` is 1 - SSE/SST of the winning degree's fit on all points.
+    onto [-1, 1], by a batched Householder QR (``_least_squares``) of every training
+    set and of all points, whose fit at the winning degree gives the result and R^2.
     In the reported powers of C the k-th coefficient carries ``(2 / (hi - lo))**k``,
     and a span that puts this beyond the normal doubles at the chosen degree is
     an error. X2 is fit divided by the power of two that puts its largest
@@ -155,24 +155,22 @@ def fit_polynomial_cv(points, max_degree: int = 6, folds: int = 10,
     # Above n - ceil(n / folds) - 1, the smallest training fold's design is rank-deficient.
     max_degree = min(max_degree, n - -(-n // folds) - 1)
     t = off + scl * xs
-    group = max(1, 2**20 // (n * (max_degree + 2)))  # folds per QR: about 8 MB of design, or one
-    # Each group's training sets, then the degrees that every group estimates.
-    cv_fits = zip(*(list(_least_squares(t, ys, fold_ids != np.arange(folds)[i:i + group, None],
-                                        max_degree)) for i in range(0, folds, group)))
+    group = max(1, 2**20 // (n * (max_degree + 2)))  # sets per QR: about 8 MB of design, or one
+    # Set f < folds leaves out fold f, set folds holds all points; per degree, every group's sets.
+    fits = list(map(np.concatenate, zip(*(
+        list(_least_squares(t, ys, fold_ids != np.arange(folds + 1)[i:i + group, None], max_degree))
+        for i in range(0, folds + 1, group)))))
     cv_rmse = [float(np.mean(np.sqrt(np.bincount(fold_ids, (_horner(coef[fold_ids].T, t) - ys) ** 2)
                                      / np.bincount(fold_ids))))
-               for coef in map(np.concatenate, cv_fits)]  # each point under its own fold's fit
+               for coef in fits]  # each point under its own fold's fit
     best = min(cv_rmse, default=math.inf)
     if not math.isfinite(best):
         raise CalibrationError("no degree is estimable with the given folds")
     degree = 1 + next(i for i, v in enumerate(cv_rmse) if v <= best + 1e-12)
     if not -1022 <= degree * math.log2(scl) < 1024:
         raise CalibrationError(f"span [{lo!r}, {hi!r}] too wide or narrow for degree {degree}")
-    fits = list(_least_squares(t, ys, np.ones((1, n), dtype=bool), degree))
-    if len(fits) < degree:
-        raise CalibrationError(f"rank-deficient design at degree {degree}")
     unit = [0.0] * (degree + 1)  # in powers of C: Horner's rule on polynomials in t
-    for c in fits[-1][0, ::-1].tolist():
+    for c in fits[degree - 1][folds, ::-1].tolist():
         unit = [c + unit[0] * off] + [u * off + v * scl for u, v in zip(unit[1:], unit)]
     with np.errstate(over="ignore"):
         coefficients = tuple(float(c) for c in np.ldexp(unit, shift))
@@ -193,7 +191,7 @@ def _least_squares(t, y, sets, degree: int):
     ``sets`` is a boolean (sets, points) array; rows outside a set are zeroed, which changes
     no solution. As in polyfit, each column is scaled by its 2-norm over the set, and a degree
     stops the yield when some set's |R_jj| of its block is at most rows * eps * max |R_ii|.
-    Degree d solves the leading block of R and Q^T y: (sets, degree + 1) coefficients, 0 above d.
+    Degree d solves the leading (d + 1)-block of R and Q^T y; no other degree or set changes a bit.
     """
     powers = np.cumprod(np.broadcast_to(t, (degree, len(t))), axis=0)  # as polyvander builds them
     a = np.vstack([np.ones_like(t), powers, y]) * sets[:, None, :]
@@ -206,10 +204,10 @@ def _least_squares(t, y, sets, degree: int):
     for d in range(1, degree + 1):
         if (diag[:, :d + 1].min(axis=1) <= tol * diag[:, :d + 1].max(axis=1)).any():
             return  # a higher degree keeps this block
-        coef = np.zeros((len(a), degree + 1))
+        coef = np.zeros((len(a), d + 1))
         for i in range(d, -1, -1):  # back substitution; coef[:, :i + 1] is still 0
-            coef[:, i] = (a[:, -1, i] - (a[:, :-1, i] * coef).sum(axis=1)) / a[:, i, i]
-        yield coef / scale
+            coef[:, i] = (a[:, -1, i] - (a[:, :d + 1, i] * coef).sum(axis=1)) / a[:, i, i]
+        yield coef / scale[:, :d + 1]
 
 
 def _householder(a) -> None:

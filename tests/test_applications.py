@@ -69,6 +69,15 @@ class TestRubin:
         with pytest.raises(SynthesisError):
             RubinVariance(**kwargs)
 
+    @pytest.mark.parametrize("s2, message", [
+        (-1.0, "imputation_s2 must be >= 0, got -1.0"),
+        (float("nan"), "imputation_s2 must be finite, got nan"),
+    ])
+    def test_imputation_variance_is_checked_under_its_own_name(self, s2, message):
+        with pytest.raises(SynthesisError) as exc:
+            RubinVariance(1.0, 10, s2, 5)
+        assert type(exc.value) is SynthesisError and str(exc.value) == message
+
     @pytest.mark.parametrize("field", ["sampling_df", "m"])
     def test_count_beyond_2_53_names_its_field(self, field):
         # Each was once refused as the "df" of the component built from it.
@@ -133,8 +142,10 @@ class TestWelch:
         ((1.0, 1.0, 10, 10, 9, 10), "df2 must be <= 9, n2 - 1"),
         ((1.0, 1.0, 10.0, 10), "n1 must be an integer, got 10.0"),
         ((1.0, float("inf"), 10, 10), "s2_2 must be finite, got inf"),
+        ((-1.0, 1.0, 10, 10), "s2_1 must be >= 0, got -1.0"),
         ((4.0, 9.0, 5, 8, 9), "df1 must be <= 4, n1 - 1"),
-    ], ids=["df2-above-n2-minus-one", "float-n1", "infinite-s2_2", "df1-above-n1-minus-one"])
+    ], ids=["df2-above-n2-minus-one", "float-n1", "infinite-s2_2", "negative-s2_1",
+            "df1-above-n1-minus-one"])
     def test_validation(self, args, message):
         with pytest.raises(SynthesisError) as exc:
             WelchInput(*args)
@@ -158,6 +169,11 @@ class TestJackknife:
         via_components = adjusted_df(jackknife_components(devs),
                                      AdjustmentConfig(2.69, 0)).value
         assert direct == via_components
+
+    def test_an_iterator_is_kept_as_a_tuple(self):
+        devs = JackknifeDeviations(iter([0.4, -1.1, 0.9]))
+        assert devs.deviations == (0.4, -1.1, 0.9)
+        assert jackknife_df(devs).value == jackknife_df(JackknifeDeviations([0.4, -1.1, 0.9])).value
 
     def test_scaling_invariance_including_sign(self):
         base = jackknife_df(JackknifeDeviations((0.4, -1.1, 0.9, 0.2))).value

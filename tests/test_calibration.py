@@ -212,19 +212,26 @@ class TestFitPolynomialCv:
         with pytest.raises(CalibrationError, match="non-finite coefficients"):
             fit_polynomial_cv(points)
 
-    def test_rank_loss_on_the_final_fit_is_an_error(self, monkeypatch):
-        # The refit on all points has every row of a full-rank training fold,
-        # so its rank loss is injected: R_22 of the one set of 12 rows is zeroed.
+    def test_rank_loss_on_all_points_lowers_the_degree(self, monkeypatch):
+        # All points are the last row set of the one QR; a full-rank fold leaves them
+        # full rank, so their rank loss is injected: R_22 of the all-points set is zeroed.
         points = [(float(i), float(i * i)) for i in range(12)]
+        assert fit_polynomial_cv(points, folds=2).degree == 2
         householder = calibration._householder
 
-        def final_fit_rank_deficient(a):
+        def all_points_rank_deficient(a):
             householder(a)
-            if len(a) == 1:
-                a[:, 2, 2] = 0.0
-        monkeypatch.setattr(calibration, "_householder", final_fit_rank_deficient)
-        with pytest.raises(CalibrationError, match="rank-deficient design at degree 2"):
-            fit_polynomial_cv(points, folds=2)
+            a[-1, 2, 2] = 0.0
+        monkeypatch.setattr(calibration, "_householder", all_points_rank_deficient)
+        assert fit_polynomial_cv(points, folds=2).degree == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_column_that_is_zero_on_a_set_is_not_divided_by_zero(self):
+        # The fold that holds out x = -1 and x = 1 trains on x = 0 alone, so its t column
+        # has norm 0; the scale 1 keeps it 0 (no 0/0) and the rank rule drops every degree.
+        points = [(-1, 1), (0, 0), (0, .1), (0, .2), (0, .3), (1, 2)]
+        with pytest.raises(CalibrationError, match="no degree is estimable"):
+            fit_polynomial_cv(points, folds=2, seed=0)
 
     def test_span_beyond_the_power_basis_rejected(self):
         # (2/span)^5 is below the normal doubles; converting once gave R^2 < 0.
@@ -347,10 +354,29 @@ class TestLeastSquaresAgainstPolyfit:
         fits = list(calibration._least_squares(t, y, sets, 6))
         assert len(fits) == 6
         for degree, coef in enumerate(fits, start=1):
-            assert (coef[:, degree + 1:] == 0.0).all()
-            for rows, ours in zip(sets, coef[:, :degree + 1]):
+            assert coef.shape == (6, degree + 1)
+            for rows, ours in zip(sets, coef):
                 reference = polyfit(t[rows], y[rows], degree)
                 assert np.max(np.abs(ours - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bits_depend_neither_on_the_top_degree_nor_on_the_other_sets(self, seed):
+        # From 8 live terms on, a sum over zero-padded columns groups its additions
+        # differently, so the fit at degree d once changed with the batch's top degree.
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(-1.0, 1.0, 40))
+        y = rng.normal(0.0, 1.0, 40)
+        sets = rng.random((6, 40)) < 0.8
+
+        def fit(rows, d):
+            return list(calibration._least_squares(t, y, rows, d))[d - 1]
+
+        top = list(calibration._least_squares(t, y, sets, 9))
+        assert len(top) == 9
+        for d in range(1, 10):
+            assert np.array_equal(top[d - 1][:, :d + 1], fit(sets, d))
+            for s in range(len(sets)):
+                assert np.array_equal(top[d - 1][s:s + 1, :d + 1], fit(sets[s:s + 1], d))
 
     def test_degree_matches_a_polyfit_cross_validation_on_calibration_curves(self):
         for seed in range(1, 51):

@@ -197,6 +197,14 @@ class TestEstimateCommand:
         assert main(["estimate", path]) == 2
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["5", '{"weight": 1, "s2": 1, "df": 3}'],
+                             ids=["number", "single-object"])
+    def test_json_that_is_not_an_array_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["estimate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: JSON input must be an array of objects\n"
+
     def test_json_weight_beyond_doubles_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('[{"weight": 1' + "0" * 400 + ', "s2": 1, "df": 3}]')
@@ -651,6 +659,10 @@ class TestParserDefaults:
         assert build_parser().parse_args([*argv, "--replicates", str(minimum)]).replicates == minimum
         assert main([*argv, "--replicates", str(minimum - 1)]) == 2
         assert f"must be >= {minimum}" in capsys.readouterr().err
+
+    def test_a_non_integer_count_is_an_invalid_int(self, capsys):
+        assert main(["reproduce", "--table", "1", "--replicates", "abc"]) == 2
+        assert "argument --replicates: invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "FILE"],

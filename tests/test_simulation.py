@@ -640,6 +640,31 @@ class TestMap:
             simulation._map(fail_at_five, range(50), 4)
         assert set(threading.enumerate()) == before
 
+    def test_a_helper_that_cannot_start_stops_the_hand_out(self, monkeypatch):
+        # Each item the first helper takes waits on a gate; the second helper fails to
+        # start, so the caller leaves at once. The first may then finish one item, no more.
+        gate, drawn, started = threading.Event(), [], []
+        start = threading.Thread.start
+
+        def start_once(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        def fn(i):
+            gate.wait(10.0)
+            drawn.append(i)
+
+        monkeypatch.setattr(simulation, "_pool_size", lambda max_workers, cells: 3)
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        with pytest.raises(RuntimeError, match="can't start"):
+            simulation._map(fn, range(20))
+        left = len(drawn)
+        gate.set()
+        started[0].join()
+        assert len(drawn) - left <= 1
+
 
 class TestPseudoX2:
     def test_exact_table_scores_zero(self):
